@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"pegasus"
-	"pegasus/internal/core"
 	"pegasus/internal/datasets"
 )
 
@@ -102,34 +101,6 @@ type Report struct {
 	// 10^6 with -scale-large): end-to-end ingest/build/query timings on the
 	// deterministic scale-tier datasets.
 	Scale []ScaleResult `json:"scale,omitempty"`
-	// CandidateGen isolates one candidate-generation pass (§III-C) at 10^4
-	// and 10^5 nodes: the retained legacy map-based grouping vs the
-	// sort-based pipeline (sequential and parallel), plus an LSH-banded arm
-	// with its group-shape statistics.
-	CandidateGen []CandResult `json:"candidate_gen,omitempty"`
-	// SpeedupCandidate is legacy-map vs parallel-sort candidate generation
-	// at the 10^5-node row. The sort pipeline's win is algorithmic (no
-	// per-depth map/bucket allocations, reused shingle buffers), so the
-	// ratio is gated independently of core count.
-	SpeedupCandidate float64 `json:"speedup_candidate"`
-}
-
-// CandResult is one candidate_gen row: the latency of one full
-// candidate-generation pass plus the shape of the groups it emitted.
-// Coverage is the fraction of alive supernodes placed in at least one
-// group — the quality proxy for the LSH arm (bands that bucket nothing
-// leave supernodes unmergeable this iteration).
-type CandResult struct {
-	Name     string  `json:"name"`
-	Nodes    int     `json:"nodes"`
-	Workers  int     `json:"workers"`
-	Runs     int     `json:"runs"`
-	NsPerOp  int64   `json:"ns_per_op"`
-	MsPerOp  float64 `json:"ms_per_op"`
-	Groups   int     `json:"groups"`
-	MeanSize float64 `json:"mean_group_size"`
-	MaxSize  int     `json:"max_group_size"`
-	Coverage float64 `json:"coverage"`
 }
 
 // PhaseStat aggregates the spans of one phase name: how many spans ran and
@@ -186,10 +157,6 @@ func main() {
 		scaleShards = flag.Int("scale-shards", 2, "cluster shard count for the scale section. Alg. 3 summarizes the whole graph once per shard, so total build work grows with the shard count — the arms only get cheaper with shards when cores are plentiful")
 		scaleQ      = flag.Int("scale-queries", 100, "routed RWR queries per scale arm (QPS/p50/p99 sample size)")
 		scaleBudget = flag.Float64("scale-budget", 0.7, "summary budget fraction for the scale arms (milder than the main -budget: merge depth dominates build time at 10^5+ nodes)")
-		candOn      = flag.Bool("cand", true, "run the candidate_gen section: legacy map vs sort-based grouping (and an LSH arm) at 10^4 and 10^5 nodes")
-		minCand     = flag.Float64("min-candidate-speedup", 0, "fail unless parallel-sort candidate generation beats the legacy map grouping at 10^5 nodes by this factor (0 disables; the win is algorithmic, so the gate is core-count independent)")
-		candBands   = flag.Int("cand-lsh-bands", 4, "LSH bands for the candidate_gen LSH arm")
-		candRows    = flag.Int("cand-lsh-rows", 2, "LSH rows per band for the candidate_gen LSH arm")
 	)
 	flag.Parse()
 
@@ -570,64 +537,6 @@ func main() {
 		}
 	}
 
-	// Candidate generation in isolation: one full §III-C pass per op on the
-	// scale-tier graphs (10^4 and 10^5 nodes), comparing the retained legacy
-	// map-based grouping against the sort-based pipeline sequentially and in
-	// parallel, plus an LSH-banded arm with group-shape statistics. The
-	// legacy and sort arms must emit byte-identical groups — the benchmark
-	// doubles as a large-scale equivalence gate on real graph shapes.
-	if *candOn {
-		for _, a := range []struct {
-			name  string
-			scale float64
-			gate  bool
-		}{
-			{"10k", 0.1, false},
-			{"100k", 1, true},
-		} {
-			d, err := datasets.ByShort("S5")
-			if err != nil {
-				fatal("candidate bench: %v", err)
-			}
-			cg := d.Generate(a.scale)
-			base := core.Config{Seed: *seed, Workers: 1}
-			seqB, err := core.NewCandidateBench(cg, base)
-			if err != nil {
-				fatal("candidate bench: %v", err)
-			}
-			pcfg := base
-			pcfg.Workers = par
-			parB, err := core.NewCandidateBench(cg, pcfg)
-			if err != nil {
-				fatal("candidate bench: %v", err)
-			}
-			lcfg := pcfg
-			lcfg.LSHBands, lcfg.LSHRows = *candBands, *candRows
-			lshB, err := core.NewCandidateBench(cg, lcfg)
-			if err != nil {
-				fatal("candidate bench: %v", err)
-			}
-			ctx := context.Background()
-			mapR, mapOut := candBench(&rep, "cand_map_seq_"+a.name, cg.NumNodes(), 1, *runs,
-				func() [][]uint32 { return seqB.GroupsLegacy(ctx, 1) })
-			_, sortSeqOut := candBench(&rep, "cand_sort_seq_"+a.name, cg.NumNodes(), 1, *runs,
-				func() [][]uint32 { return seqB.Groups(ctx, 1) })
-			sortParR, sortParOut := candBench(&rep, "cand_sort_par_"+a.name, cg.NumNodes(), par, *runs,
-				func() [][]uint32 { return parB.Groups(ctx, 1) })
-			lshR, _ := candBench(&rep, "cand_lsh_"+a.name, cg.NumNodes(), par, *runs,
-				func() [][]uint32 { return lshB.Groups(ctx, 1) })
-			if !candGroupsEqual(mapOut, sortSeqOut) || !candGroupsEqual(mapOut, sortParOut) {
-				fatal("candidate bench %s: sort-based groups differ from the legacy map groups — equivalence broken", a.name)
-			}
-			if lshR.Groups == 0 {
-				fatal("candidate bench %s: LSH arm produced no groups", a.name)
-			}
-			if a.gate && sortParR.NsPerOp > 0 {
-				rep.SpeedupCandidate = float64(mapR.NsPerOp) / float64(sortParR.NsPerOp)
-			}
-		}
-	}
-
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal("marshal: %v", err)
@@ -636,9 +545,9 @@ func main() {
 	if err := os.WriteFile(*out, raw, 0o644); err != nil {
 		fatal("write %s: %v", *out, err)
 	}
-	fmt.Printf("wrote %s (cluster speedup %.2fx, summarize speedup %.2fx, batch RWR %.2fx, batch PHP %.2fx, incremental rebuild %.2fx, warm start %.2fx, candidate gen %.2fx on %d CPU(s))\n",
+	fmt.Printf("wrote %s (cluster speedup %.2fx, summarize speedup %.2fx, batch RWR %.2fx, batch PHP %.2fx, incremental rebuild %.2fx, warm start %.2fx on %d CPU(s))\n",
 		*out, rep.SpeedupCluster, rep.SpeedupSummarize, rep.SpeedupBatchRWR,
-		rep.SpeedupBatchPHP, rep.SpeedupIncremental, rep.SpeedupWarm, rep.SpeedupCandidate, rep.Host.NumCPU)
+		rep.SpeedupBatchPHP, rep.SpeedupIncremental, rep.SpeedupWarm, rep.Host.NumCPU)
 
 	if *minSpeed > 0 {
 		if rep.Host.NumCPU < *shards {
@@ -666,63 +575,6 @@ func main() {
 	if *minWarm > 0 && rep.SpeedupWarm < *minWarm {
 		fatal("warm start speedup %.3fx below required %.3fx", rep.SpeedupWarm, *minWarm)
 	}
-	if *minCand > 0 && rep.SpeedupCandidate < *minCand {
-		fatal("candidate generation speedup %.3fx (legacy map vs parallel sort at 10^5 nodes) below required %.3fx",
-			rep.SpeedupCandidate, *minCand)
-	}
-}
-
-// candBench times one candidate-generation arm (min over runs) and records
-// the emitted group shape: count, mean/max size and the fraction of alive
-// supernodes covered by at least one group.
-func candBench(rep *Report, name string, nodes, workers, runs int, fn func() [][]uint32) (CandResult, [][]uint32) {
-	fmt.Fprintf(os.Stderr, "benchmarking %-24s (workers=%d, %d runs)...\n", name, workers, runs)
-	r := CandResult{Name: name, Nodes: nodes, Workers: workers, Runs: runs}
-	var min time.Duration
-	var out [][]uint32
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		out = fn()
-		if el := time.Since(start); i == 0 || el < min {
-			min = el
-		}
-	}
-	r.NsPerOp = min.Nanoseconds()
-	r.MsPerOp = float64(r.NsPerOp) / 1e6
-	r.Groups = len(out)
-	covered := map[uint32]bool{}
-	maxSize, total := 0, 0
-	for _, grp := range out {
-		total += len(grp)
-		if len(grp) > maxSize {
-			maxSize = len(grp)
-		}
-		for _, a := range grp {
-			covered[a] = true
-		}
-	}
-	if len(out) > 0 {
-		r.MeanSize = float64(total) / float64(len(out))
-	}
-	r.MaxSize = maxSize
-	if nodes > 0 {
-		r.Coverage = float64(len(covered)) / float64(nodes)
-	}
-	rep.CandidateGen = append(rep.CandidateGen, r)
-	return r, out
-}
-
-// candGroupsEqual compares two group lists byte for byte.
-func candGroupsEqual(a, b [][]uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !slices.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // runScaleArm measures one scale row end to end: generate the scale-tier

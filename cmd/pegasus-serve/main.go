@@ -52,8 +52,6 @@ func main() {
 		alpha    = flag.Float64("alpha", 0, "degree of personalization (0 = default 1.25)")
 		targets  = flag.String("targets", "", "comma-separated target nodes (single-shard personalization)")
 		seed     = flag.Int64("seed", 0, "random seed for partitioning and summarization")
-		lshBands = flag.Int("lsh-bands", 0, "MinHash-LSH bands for candidate generation in summary builds (0 = single-hash shingle grouping)")
-		lshRows  = flag.Int("lsh-rows", 0, "MinHash-LSH rows per band (0 = default 2; requires -lsh-bands > 0)")
 		cache    = flag.Int("cache", 4096, "query-result cache entries (negative disables)")
 		workers  = flag.Int("workers", 0, "concurrent query computations (0 = GOMAXPROCS)")
 		batchMax = flag.Int("batch-max", 256, "max query nodes per POST /v1/query/batch request")
@@ -104,8 +102,6 @@ func main() {
 		Targets:          tg,
 		Alpha:            *alpha,
 		Seed:             *seed,
-		LSHBands:         *lshBands,
-		LSHRows:          *lshRows,
 		CacheEntries:     *cache,
 		Workers:          *workers,
 		BatchMax:         *batchMax,

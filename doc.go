@@ -29,11 +29,9 @@
 // cancellation, and BuildSummaryCluster constructs its per-shard summaries
 // concurrently — the §IV scheme is communication-free, so shard builds are
 // independent. Candidate generation (the §III-C shingle grouping) runs as
-// a parallel stable radix sort, and Config.LSHBands/Config.LSHRows
-// (default off) switch it to banded MinHash-LSH seeding — two supernodes
-// with neighborhood similarity s share a candidate group with probability
-// 1-(1-s^r)^b. Every worker count produces bit-identical output for a
-// fixed seed; see DESIGN.md "The parallel build pipeline".
+// a parallel stable radix sort over packed (shingle, supernode) keys.
+// Every worker count produces bit-identical output for a fixed seed; see
+// DESIGN.md "The parallel build pipeline".
 //
 // # Serving
 //

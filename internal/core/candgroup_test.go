@@ -3,9 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
-	"strings"
+	"sort"
 	"testing"
 
+	"pegasus/internal/datasets"
 	"pegasus/internal/gen"
 	"pegasus/internal/graph"
 )
@@ -49,19 +50,29 @@ func groupsEqual(a, b [][]uint32) bool {
 // pipeline must emit byte for byte the groups of the retained map-based
 // reference. K20 forces the failed-split path (all closed neighborhoods
 // identical, so every hash yields one shingle until the depth cap chops);
-// the small MaxGroupSize forces the chop path on the clique graph too.
+// the small MaxGroupSize forces the chop path on the clique graph too. The
+// scale-tier S5 graphs at 10^4 and 10^5 nodes check the equivalence on
+// heavy-tailed real-size inputs at the default group size and depth.
 func TestSortGroupingMatchesLegacyMap(t *testing.T) {
+	s5, err := datasets.ByShort("S5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{1, 9, 42}
 	cases := []struct {
-		name string
-		g    *graph.Graph
-		cfg  Config
+		name  string
+		g     *graph.Graph
+		cfg   Config
+		seeds []int64
 	}{
-		{"ba300", gen.BarabasiAlbert(300, 3, 1), Config{}},
-		{"cliques", cliqueGraph(40, 4), Config{MaxGroupSize: 8, MaxSplitDepth: 2}},
-		{"k20", cliqueGraph(1, 20), Config{MaxGroupSize: 6, MaxSplitDepth: 3}},
+		{"ba300", gen.BarabasiAlbert(300, 3, 1), Config{}, seeds},
+		{"cliques", cliqueGraph(40, 4), Config{MaxGroupSize: 8, MaxSplitDepth: 2}, seeds},
+		{"k20", cliqueGraph(1, 20), Config{MaxGroupSize: 6, MaxSplitDepth: 3}, seeds},
+		{"s5_10k", s5.Generate(0.1), Config{}, seeds},
+		{"s5_100k", s5.Generate(1), Config{}, seeds[:1]},
 	}
 	for _, tc := range cases {
-		for _, seed := range []int64{1, 9, 42} {
+		for _, seed := range tc.seeds {
 			for _, workers := range []int{1, 2, 8} {
 				cfg := tc.cfg
 				cfg.Seed = seed
@@ -105,158 +116,112 @@ func TestSortGroupingWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestLSHGroupsPlantedCliques: clique members have Jaccard-1 closed
-// neighborhoods, so every band buckets each clique together and the
-// cross-band dedup collapses the repeats — LSH must emit exactly one group
-// per clique and never mix cliques.
-func TestLSHGroupsPlantedCliques(t *testing.T) {
-	const k, m = 30, 4
-	g := cliqueGraph(k, m)
-	e := newTestEngine(t, g, Config{Seed: 3, LSHBands: 4, LSHRows: 2})
-	groups := e.candidateGroups(context.Background(), 1)
-	if len(groups) != k {
-		t.Fatalf("got %d groups, want one per clique (%d)", len(groups), k)
-	}
-	for _, grp := range groups {
-		if len(grp) != m {
-			t.Fatalf("group of size %d, want whole clique (%d)", len(grp), m)
-		}
-		clique := grp[0] / m
-		for i, a := range grp {
-			if a/m != clique || a != grp[0]+uint32(i) {
-				t.Fatalf("group %v mixes cliques or reorders slots", grp)
-			}
-		}
-	}
-}
-
-// TestLSHBandCollisionMonotonicity checks the 1-(1-s^r)^b curve directionally
-// on planted moderate similarity: gadgets of two nodes with Jaccard-1/5
-// closed neighborhoods. More bands must catch (strictly) more pairs, more
-// rows per band must catch fewer, across many independent iterations.
-func TestLSHBandCollisionMonotonicity(t *testing.T) {
-	const pairs, iters = 40, 25
-	b := graph.NewBuilder(5 * pairs)
-	for p := 0; p < pairs; p++ {
-		u, v, anchor, x, y := graph.NodeID(5*p), graph.NodeID(5*p+1), graph.NodeID(5*p+2), graph.NodeID(5*p+3), graph.NodeID(5*p+4)
-		b.AddEdge(u, anchor)
-		b.AddEdge(v, anchor)
-		b.AddEdge(u, x)
-		b.AddEdge(v, y)
-	}
-	g := b.Build()
-
-	collisions := func(bands, rows int) int {
-		e := newTestEngine(t, g, Config{Seed: 13, LSHBands: bands, LSHRows: rows})
-		total := 0
-		for it := 1; it <= iters; it++ {
-			for _, w := range e.lshSeedWork(context.Background(), it, uint64(it)*0x9e3779b97f4a7c15) {
-				for p := 0; p < pairs; p++ {
-					hasU, hasV := false, false
-					for _, a := range w.slots {
-						if a == uint32(5*p) {
-							hasU = true
-						}
-						if a == uint32(5*p+1) {
-							hasV = true
-						}
-					}
-					if hasU && hasV {
-						total++
-					}
-				}
-			}
-		}
-		return total
-	}
-
-	manyBands := collisions(8, 2) // p = 1-(1-1/25)^8 ≈ 0.28 per pair-iteration
-	oneBand := collisions(1, 2)   // p = 1/25 = 0.04
-	moreRows := collisions(8, 4)  // p = 1-(1-1/625)^8 ≈ 0.013
-	if manyBands <= oneBand {
-		t.Errorf("more bands should catch more similar pairs: b=8 got %d, b=1 got %d", manyBands, oneBand)
-	}
-	if moreRows >= manyBands {
-		t.Errorf("more rows should catch fewer pairs: r=4 got %d, r=2 got %d", moreRows, manyBands)
-	}
-	// Loose binomial sanity around the expected counts (n = 1000 trials).
-	if manyBands < 180 || manyBands > 400 {
-		t.Errorf("b=8 r=2 collisions = %d, want ≈ 280 (1-(1-s^2)^8 with s=1/5)", manyBands)
-	}
-	if oneBand > 100 {
-		t.Errorf("b=1 r=2 collisions = %d, want ≈ 40", oneBand)
-	}
-}
-
-// TestConfigRejectsBadCandidateKnobs pins the validation added alongside
-// the pipeline: negative MaxSplitDepth (previously only zero was
-// defaulted, so -1 silently degenerated every division into the random
-// chop) and the LSH knob combinations.
+// TestConfigRejectsBadCandidateKnobs pins the validation of the grouping
+// knobs: negative MaxSplitDepth (previously only zero was defaulted, so -1
+// silently degenerated every division into the random chop) and negative
+// MaxIter.
 func TestConfigRejectsBadCandidateKnobs(t *testing.T) {
 	g := gen.BarabasiAlbert(50, 2, 1)
 	bad := []Config{
 		{MaxSplitDepth: -1},
 		{MaxIter: -3},
-		{LSHBands: -2},
-		{LSHBands: 4, LSHRows: -1},
-		{LSHRows: 2},                      // rows without bands
-		{LSHBands: 4, RandomGroups: true}, // mutually exclusive
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.withDefaults(g); err == nil {
 			t.Errorf("case %d (%+v): invalid config accepted", i, cfg)
 		}
 	}
-	ok, err := Config{LSHBands: 4}.withDefaults(g)
-	if err != nil {
-		t.Fatalf("LSHBands alone rejected: %v", err)
-	}
-	if ok.LSHRows != defaultLSHRows {
-		t.Errorf("LSHRows defaulted to %d, want %d", ok.LSHRows, defaultLSHRows)
-	}
 }
 
-// TestContentKeyLSHNormalization: LSH-off keys must stay byte-identical to
-// the pre-LSH format (pinned literally — existing .pgsum artifacts are
-// addressed by these strings), and LSH-on keys must append the knobs with
-// the rows default normalized.
-func TestContentKeyLSHNormalization(t *testing.T) {
-	off, ok := Config{Seed: 7}.ContentKey()
+// TestContentKeyPinned: the content key of a default config is pinned
+// literally. Existing .pgsum artifacts are filed under these strings, so
+// any change to the format orphans every artifact on disk.
+func TestContentKeyPinned(t *testing.T) {
+	key, ok := Config{Seed: 7}.ContentKey()
 	if !ok {
 		t.Fatal("default config not keyable")
 	}
 	const pinned = "pegasus1|a3ff4000000000000|b3fb999999999999a|i20|s7|g500|d10|c0|e0|rfalse"
-	if off != pinned {
-		t.Fatalf("LSH-off content key changed:\n got %s\nwant %s", off, pinned)
-	}
-	on, _ := Config{Seed: 7, LSHBands: 8}.ContentKey()
-	if !strings.HasSuffix(on, "|lb8|lr2") || !strings.HasPrefix(on, pinned) {
-		t.Fatalf("LSH-on key %q should be the off key plus |lb8|lr2", on)
-	}
-	explicit, _ := Config{Seed: 7, LSHBands: 8, LSHRows: 2}.ContentKey()
-	if explicit != on {
-		t.Fatalf("explicit default rows keyed differently: %q vs %q", explicit, on)
-	}
-	other, _ := Config{Seed: 7, LSHBands: 8, LSHRows: 3}.ContentKey()
-	if other == on {
-		t.Fatal("different LSHRows produced the same key")
+	if key != pinned {
+		t.Fatalf("content key changed:\n got %s\nwant %s", key, pinned)
 	}
 }
 
-// TestLSHSummarizeRuns: end to end, LSH-banded candidate generation must
-// drive a full summarization to a valid within-budget result (overlapping
-// groups compact dead slots away before merging).
-func TestLSHSummarizeRuns(t *testing.T) {
-	g := gen.PlantedPartition(gen.SBMConfig{Nodes: 400, Communities: 5, AvgDegree: 10, MixingP: 0.05}, 9)
-	res, err := Summarize(g, Config{Seed: 9, BudgetRatio: 0.4, LSHBands: 6, LSHRows: 2})
-	if err != nil {
-		t.Fatal(err)
+// candidateGroupsLegacyMap is the pre-sort, map-based grouping kept
+// verbatim as the test oracle of the sort-based pipeline:
+// TestSortGroupingMatchesLegacyMap checks that candidateGroups reproduces
+// its output byte for byte (and the golden-fingerprint pins in
+// parallel_test.go inherit from it).
+func (e *engine) candidateGroupsLegacyMap(ctx context.Context, iter int) [][]uint32 {
+	if e.cfg.RandomGroups {
+		return e.randomGroups()
 	}
-	if !res.BudgetMet {
-		t.Errorf("LSH build missed the budget (size ratio constraint)")
+	baseSeed := uint64(e.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(iter)*0x100000001b3
+
+	var result [][]uint32
+	queue := []work{{slots: e.aliveSlots(), depth: 0}}
+
+	// nodeMin per depth, computed lazily: all groups at the same depth share
+	// one hash function.
+	nodeMinByDepth := map[int][]uint64{}
+	nodeMinAt := func(depth int) []uint64 {
+		if nm, ok := nodeMinByDepth[depth]; ok {
+			return nm
+		}
+		nm := make([]uint64, e.g.NumNodes())
+		e.nodeShinglesInto(baseSeed+uint64(depth)*0x9e3779b1, nm)
+		nodeMinByDepth[depth] = nm
+		return nm
 	}
-	if res.Summary.NumSupernodes() >= g.NumNodes() {
-		t.Errorf("LSH build performed no merges: %d supernodes of %d nodes",
-			res.Summary.NumSupernodes(), g.NumNodes())
+
+	for len(queue) > 0 {
+		w := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if len(w.slots) <= 1 {
+			continue
+		}
+		if w.depth > 0 && len(w.slots) <= e.cfg.MaxGroupSize {
+			result = append(result, w.slots)
+			continue
+		}
+		if w.depth >= e.cfg.MaxSplitDepth {
+			e.rng.Shuffle(len(w.slots), func(i, j int) {
+				w.slots[i], w.slots[j] = w.slots[j], w.slots[i]
+			})
+			for start := 0; start < len(w.slots); start += e.cfg.MaxGroupSize {
+				end := start + e.cfg.MaxGroupSize
+				if end > len(w.slots) {
+					end = len(w.slots)
+				}
+				if end-start > 1 {
+					result = append(result, w.slots[start:end])
+				}
+			}
+			continue
+		}
+		nm := nodeMinAt(w.depth)
+		byShingle := make(map[uint64][]uint32)
+		for _, a := range w.slots {
+			f := superShingle(nm, e.members[a])
+			byShingle[f] = append(byShingle[f], a)
+		}
+		if len(byShingle) == 1 {
+			queue = append(queue, work{slots: w.slots, depth: w.depth + 1})
+			continue
+		}
+		// Map iteration order is randomized; sort keys so runs with the same
+		// seed produce the same groups in the same order.
+		keys := make([]uint64, 0, len(byShingle))
+		for f := range byShingle { //lint:ordered legacy reference implementation: keys are collected then sorted immediately below
+			keys = append(keys, f)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		for _, f := range keys {
+			if grp := byShingle[f]; len(grp) > 1 {
+				queue = append(queue, work{slots: grp, depth: w.depth + 1})
+			}
+		}
 	}
+	e.rng.Shuffle(len(result), func(i, j int) { result[i], result[j] = result[j], result[i] })
+	return result
 }

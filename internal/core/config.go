@@ -97,17 +97,6 @@ type Config struct {
 	// sampling is likely to result in pairs of supernodes whose merger does
 	// not reduce the personalized cost much".
 	RandomGroups bool
-	// LSHBands enables banded MinHash-LSH candidate generation: the first
-	// division of each iteration groups supernodes by band buckets of an
-	// (LSHBands × LSHRows) signature matrix instead of a single shingle, so
-	// supernodes whose closed neighborhoods have Jaccard similarity s share
-	// a group with probability 1-(1-s^LSHRows)^LSHBands. 0 (the default)
-	// keeps the single-hash division of §III-C; the default path's output
-	// is bit-identical whether or not this knob exists.
-	LSHBands int
-	// LSHRows is the number of rows per LSH band (default 2 when LSHBands
-	// is set, ignored otherwise). More rows make band collisions stricter.
-	LSHRows int
 	// Trace, when non-nil, receives per-iteration statistics.
 	Trace func(IterStats)
 }
@@ -122,7 +111,6 @@ const (
 	defaultMaxIter       = 20
 	defaultMaxGroupSize  = 500
 	defaultMaxSplitDepth = 10
-	defaultLSHRows       = 2
 )
 
 // withDefaults fills zero fields with the paper defaults and validates.
@@ -181,22 +169,6 @@ func (c Config) withDefaults(g *graph.Graph) (Config, error) {
 		// the RandomGroups ablation. Reject it like the sibling knobs.
 		return c, fmt.Errorf("core: MaxSplitDepth must be positive, got %d", c.MaxSplitDepth)
 	}
-	if c.LSHBands < 0 {
-		return c, fmt.Errorf("core: LSHBands must be non-negative, got %d", c.LSHBands)
-	}
-	if c.LSHBands > 0 {
-		if c.RandomGroups {
-			return c, fmt.Errorf("core: LSHBands and RandomGroups are mutually exclusive")
-		}
-		if c.LSHRows == 0 {
-			c.LSHRows = defaultLSHRows
-		}
-		if c.LSHRows < 1 {
-			return c, fmt.Errorf("core: LSHRows must be positive, got %d", c.LSHRows)
-		}
-	} else if c.LSHRows != 0 {
-		return c, fmt.Errorf("core: LSHRows requires LSHBands > 0, got LSHRows=%d", c.LSHRows)
-	}
 	for _, t := range c.Targets {
 		if int(t) >= g.NumNodes() {
 			return c, fmt.Errorf("core: target %d out of range (|V|=%d)", t, g.NumNodes())
@@ -246,17 +218,6 @@ func (c Config) ContentKey() (string, bool) {
 	key := fmt.Sprintf("pegasus1|a%x|b%x|i%d|s%d|g%d|d%d|c%d|e%d|r%t",
 		math.Float64bits(alpha), math.Float64bits(beta), maxIter, c.Seed,
 		maxGroup, maxSplit, c.CostMode, c.Encoding, c.RandomGroups)
-	// New knobs append to the key only when they leave their default-off
-	// state: every pre-LSH fingerprint (and the .pgsum artifacts keyed by
-	// it) stays valid, and an explicit LSHRows equal to its default
-	// normalizes to the same key as the implied one.
-	if c.LSHBands > 0 {
-		rows := c.LSHRows
-		if rows == 0 {
-			rows = defaultLSHRows
-		}
-		key += fmt.Sprintf("|lb%d|lr%d", c.LSHBands, rows)
-	}
 	return key, true
 }
 

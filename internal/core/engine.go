@@ -38,15 +38,13 @@ type engine struct {
 
 	// candidate-generation scratch reused across iterations (shingle.go):
 	// per-depth node-shingle vectors tagged with the seed that filled them,
-	// the packed (shingle key, slot payload) sort arrays with the radix
-	// sorter's scratch, and the per-row / per-slot LSH buffers.
+	// and the packed (shingle key, slot payload) sort arrays with the radix
+	// sorter's scratch.
 	shingleBuf  [][]uint64
 	shingleSeed []uint64
 	keyBuf      []uint64
 	slotBuf     []uint32
 	sorter      par.KeySorter
-	rowBuf      [][]uint64
-	bucketBuf   []uint64
 
 	// scorer holds the batched-round state of mergeGroup: the sampled pairs
 	// of the current round and the per-worker evaluation scratch.
@@ -158,9 +156,6 @@ func (e *engine) accumulateMass(a uint32, pm *pairMass) {
 		}
 	}
 }
-
-// alive reports whether slot a currently denotes a supernode.
-func (e *engine) alive(a uint32) bool { return e.members[a] != nil }
 
 // aliveSlots lists all live supernode slots.
 func (e *engine) aliveSlots() []uint32 {

@@ -55,14 +55,6 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if cfg.LSHBands > 0 {
-				// LSH bands overlap, so a slot merged away by an earlier
-				// group may linger in this one; the default disjoint
-				// grouping never needs (and must not be perturbed by) this.
-				if grp = eng.compactAlive(grp); len(grp) <= 1 {
-					continue
-				}
-			}
 			merges += eng.mergeGroup(grp, theta, &rejected)
 			if eng.sizeBits() <= cfg.BudgetBits {
 				break

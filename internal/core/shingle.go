@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"pegasus/internal/graph"
 	"pegasus/internal/minhash"
@@ -25,23 +24,12 @@ import (
 // into parallel (shingle key, slot payload) arrays and stably sorted with
 // par.KeySorter, and equal-shingle runs become the groups. Because slots
 // enter every division step in ascending order and the sort is stable,
-// equal-shingle slots stay ascending — reproducing byte for byte the
-// groups the retained map-based reference (candidateGroupsLegacyMap) emits
-// for its sorted keys, for every worker count. The per-depth shingle
-// vectors, the packed key/slot arrays, the sorter's radix scratch and the
-// LSH buffers live on the engine and are reused across iterations, so
-// steady-state candidate generation allocates only the emitted group
-// slices.
-//
-// Opt-in banded MinHash-LSH (Config.LSHBands/LSHRows) replaces the single-
-// hash first division: each supernode gets an r-row signature per band
-// (minhash.FamilySeed) folded into a band-bucket key, and each bucket with
-// ≥2 supernodes seeds a candidate group, so supernodes whose closed
-// neighborhoods have Jaccard similarity s share a group with probability
-// 1-(1-s^r)^b. Buckets exceeding MaxGroupSize descend into the same
-// re-division machinery as plain shingle groups. Bands overlap, so a slot
-// may appear in several groups; the merge loop compacts dead slots away
-// between groups (see summarizeWeighted).
+// equal-shingle slots stay ascending: the groups match byte for byte those
+// of the map-based reference grouping in candgroup_test.go, for every
+// worker count. The per-depth shingle vectors, the packed key/slot arrays
+// and the sorter's radix scratch live on the engine and are reused across
+// iterations, so steady-state candidate generation allocates only the
+// emitted group slices.
 
 // nodeShinglesInto computes, for one hash function, the per-node closed
 // neighborhood min-hash: h_u = min over v ∈ N_u ∪ {u} of f(v), into out
@@ -155,36 +143,21 @@ type work struct {
 }
 
 // candidateGroups produces this iteration's groups of supernodes with
-// similar connectivity (Alg. 1 line 4). ctx carries the build trace (if
-// any); the shingle scans inside record "build.shingle" spans. Tracing
-// never touches e.rng, so grouping is bit-identical with or without it.
+// similar connectivity (Alg. 1 line 4). The first level groups by shingle,
+// deeper levels only re-divide groups exceeding MaxGroupSize, and the
+// depth cap chops randomly. The queue is processed LIFO and groups are
+// pushed in ascending shingle order, which fixes the order of the RNG
+// draws (chop shuffles, final exploration shuffle). ctx carries the build
+// trace (if any); the shingle scans inside record "build.shingle" spans.
+// Tracing never touches e.rng, so grouping is bit-identical with or
+// without it.
 func (e *engine) candidateGroups(ctx context.Context, iter int) [][]uint32 {
 	if e.cfg.RandomGroups {
 		return e.randomGroups()
 	}
 	baseSeed := uint64(e.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(iter)*0x100000001b3
 
-	var queue []work
-	if e.cfg.LSHBands > 0 {
-		queue = e.lshSeedWork(ctx, iter, baseSeed)
-	}
-	if len(queue) == 0 {
-		// Plain shingle path — also the fallback when no LSH band produced
-		// a collision (nothing similar enough; rather than stall the
-		// iteration, divide by the single hash as if LSH were off).
-		queue = append(queue, work{slots: e.aliveSlots(), depth: 0})
-	}
-	return e.divide(ctx, iter, baseSeed, queue)
-}
-
-// divide runs the recursive re-division loop over the pending work items:
-// the first level groups by shingle (Alg. 1 line 4), deeper levels only
-// re-divide groups exceeding MaxGroupSize, and the depth cap chops
-// randomly. The queue is processed LIFO and groups are pushed in ascending
-// shingle order — the exact discipline of the legacy map-based scan, so
-// the RNG draws (chop shuffles, final exploration shuffle) happen in the
-// same order on the same slot sets.
-func (e *engine) divide(ctx context.Context, iter int, baseSeed uint64, queue []work) [][]uint32 {
+	queue := []work{{slots: e.aliveSlots(), depth: 0}}
 	var result [][]uint32
 	for len(queue) > 0 {
 		w := queue[len(queue)-1]
@@ -225,184 +198,6 @@ func (e *engine) divide(ctx context.Context, iter int, baseSeed uint64, queue []
 		}
 	}
 	// Deterministic processing order with a shuffle for exploration.
-	e.rng.Shuffle(len(result), func(i, j int) { result[i], result[j] = result[j], result[i] })
-	return result
-}
-
-// lshSeedWork computes the banded MinHash-LSH first division: for each of
-// LSHBands bands, every supernode folds its LSHRows row minima (fresh hash
-// functions per (iteration, band, row)) into a band-bucket key, and every
-// bucket holding ≥2 supernodes becomes a pending work item at depth 1 —
-// small buckets surface directly as candidate groups, oversized ones
-// re-divide through the standard shingle machinery. Identical slot sets
-// recurring across bands (near-duplicate neighborhoods collide everywhere)
-// are deduplicated by content hash.
-func (e *engine) lshSeedWork(ctx context.Context, iter int, baseSeed uint64) []work {
-	slots := e.aliveSlots()
-	if len(slots) <= 1 {
-		return nil
-	}
-	bands, rows := e.cfg.LSHBands, e.cfg.LSHRows
-	for len(e.rowBuf) < rows {
-		e.rowBuf = append(e.rowBuf, make([]uint64, e.g.NumNodes()))
-	}
-	if cap(e.bucketBuf) < len(slots) {
-		e.bucketBuf = make([]uint64, len(slots))
-	}
-	buckets := e.bucketBuf[:len(slots)]
-
-	var queue []work
-	seen := make(map[uint64]bool)
-	for band := 0; band < bands; band++ {
-		_, sp := obs.StartSpan(ctx, "build.lsh")
-		sp.AttrInt("iteration", iter)
-		sp.AttrInt("band", band)
-		for row := 0; row < rows; row++ {
-			e.nodeShinglesInto(minhash.FamilySeed(baseSeed, band, row), e.rowBuf[row])
-		}
-		par.Range(e.cfg.Workers, len(slots), func(lo, hi int) {
-			e.lshBucketRange(slots, e.rowBuf[:rows], buckets, lo, hi)
-		})
-		keys, pay := e.keyBuf[:0], e.slotBuf[:0]
-		keys = append(keys, buckets...)
-		pay = append(pay, slots...)
-		e.keyBuf, e.slotBuf = keys, pay
-		e.sorter.Sort(keys, pay, e.cfg.Workers)
-		groups := 0
-		for lo := 0; lo < len(keys); {
-			hi := lo + 1
-			for hi < len(keys) && keys[hi] == keys[lo] {
-				hi++
-			}
-			if hi-lo > 1 {
-				key := minhash.FoldInit
-				for i := lo; i < hi; i++ {
-					key = minhash.Fold(key, uint64(pay[i]))
-				}
-				if !seen[key] {
-					seen[key] = true
-					queue = append(queue, work{slots: append([]uint32(nil), pay[lo:hi]...), depth: 1})
-					groups++
-				}
-			}
-			lo = hi
-		}
-		sp.AttrInt("groups", groups)
-		sp.End()
-	}
-	return queue
-}
-
-// lshBucketRange fills out[i] with the band-bucket key of slots[i]: the
-// fold over rows of the minimum row hash across the slot's members'
-// closed neighborhoods.
-//
-//pegasus:hotpath runs rows×members work per alive supernode per band
-func (e *engine) lshBucketRange(slots []uint32, rows [][]uint64, out []uint64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		acc := minhash.FoldInit
-		for _, rm := range rows {
-			best := ^uint64(0)
-			for _, u := range e.members[slots[i]] {
-				if v := rm[u]; v < best {
-					best = v
-				}
-			}
-			acc = minhash.Fold(acc, best)
-		}
-		out[i] = acc
-	}
-}
-
-// compactAlive filters grp in place down to the slots still alive. LSH
-// bands overlap, so a slot merged away while processing an earlier group
-// may linger in later ones; the plain shingle path emits disjoint groups
-// and never needs this.
-func (e *engine) compactAlive(grp []uint32) []uint32 {
-	out := grp[:0]
-	for _, a := range grp {
-		if e.alive(a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// candidateGroupsLegacyMap is the pre-sort, map-based grouping retained
-// verbatim as the equivalence reference: property tests and the
-// pegasus-bench candidate_gen section check that the sort-based pipeline
-// reproduces its output byte for byte (and the golden-fingerprint pins in
-// parallel_test.go inherit from it). It is never called by Summarize.
-func (e *engine) candidateGroupsLegacyMap(ctx context.Context, iter int) [][]uint32 {
-	if e.cfg.RandomGroups {
-		return e.randomGroups()
-	}
-	baseSeed := uint64(e.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(iter)*0x100000001b3
-
-	var result [][]uint32
-	queue := []work{{slots: e.aliveSlots(), depth: 0}}
-
-	// nodeMin per depth, computed lazily: all groups at the same depth share
-	// one hash function.
-	nodeMinByDepth := map[int][]uint64{}
-	nodeMinAt := func(depth int) []uint64 {
-		if nm, ok := nodeMinByDepth[depth]; ok {
-			return nm
-		}
-		nm := make([]uint64, e.g.NumNodes())
-		e.nodeShinglesInto(baseSeed+uint64(depth)*0x9e3779b1, nm)
-		nodeMinByDepth[depth] = nm
-		return nm
-	}
-
-	for len(queue) > 0 {
-		w := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if len(w.slots) <= 1 {
-			continue
-		}
-		if w.depth > 0 && len(w.slots) <= e.cfg.MaxGroupSize {
-			result = append(result, w.slots)
-			continue
-		}
-		if w.depth >= e.cfg.MaxSplitDepth {
-			e.rng.Shuffle(len(w.slots), func(i, j int) {
-				w.slots[i], w.slots[j] = w.slots[j], w.slots[i]
-			})
-			for start := 0; start < len(w.slots); start += e.cfg.MaxGroupSize {
-				end := start + e.cfg.MaxGroupSize
-				if end > len(w.slots) {
-					end = len(w.slots)
-				}
-				if end-start > 1 {
-					result = append(result, w.slots[start:end])
-				}
-			}
-			continue
-		}
-		nm := nodeMinAt(w.depth)
-		byShingle := make(map[uint64][]uint32)
-		for _, a := range w.slots {
-			f := superShingle(nm, e.members[a])
-			byShingle[f] = append(byShingle[f], a)
-		}
-		if len(byShingle) == 1 {
-			queue = append(queue, work{slots: w.slots, depth: w.depth + 1})
-			continue
-		}
-		// Map iteration order is randomized; sort keys so runs with the same
-		// seed produce the same groups in the same order.
-		keys := make([]uint64, 0, len(byShingle))
-		for f := range byShingle { //lint:ordered legacy reference implementation: keys are collected then sorted immediately below
-			keys = append(keys, f)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, f := range keys {
-			if grp := byShingle[f]; len(grp) > 1 {
-				queue = append(queue, work{slots: grp, depth: w.depth + 1})
-			}
-		}
-	}
 	e.rng.Shuffle(len(result), func(i, j int) { result[i], result[j] = result[j], result[i] })
 	return result
 }

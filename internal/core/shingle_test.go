@@ -22,6 +22,9 @@ func newTestEngine(t *testing.T, g *graph.Graph, cfg Config) *engine {
 	return newEngine(g, w, cfg)
 }
 
+// alive reports whether slot a currently denotes a supernode.
+func (e *engine) alive(a uint32) bool { return e.members[a] != nil }
+
 func TestCandidateGroupsPartitionAliveSlots(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 1)
 	e := newTestEngine(t, g, Config{Seed: 2})

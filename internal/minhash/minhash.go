@@ -37,40 +37,3 @@ func (h Hash) Uint64(x uint32) uint64 {
 	v := (uint64(x)+1)*h.a + h.b
 	return bits.RotateLeft64(v, 31) * 0x9e3779b97f4a7c15
 }
-
-// FamilySeed derives the seed of member (band, row) of a banded hash
-// family rooted at base. Distinct (band, row) coordinates yield
-// (approximately) independent hash functions — the signature matrix of a
-// MinHash-LSH scheme with b bands of r rows: two sets with Jaccard
-// similarity s land in the same bucket of at least one band with
-// probability 1-(1-s^r)^b.
-func FamilySeed(base uint64, band, row int) uint64 {
-	return splitmix64(base ^ (uint64(band)<<32|uint64(uint32(row)))*0x9e3779b97f4a7c15)
-}
-
-// FoldInit is the initial accumulator for Fold (the FNV-1a 64-bit offset
-// basis — an arbitrary non-zero constant).
-const FoldInit = uint64(0xcbf29ce484222325)
-
-// Fold mixes one row minimum into a band-bucket accumulator. Folding the r
-// row minima of a band in row order yields the band's bucket key: two
-// signatures collide on the band iff all r row minima agree (up to hash
-// collisions, which are negligible at 64 bits).
-func Fold(acc, rowMin uint64) uint64 {
-	return splitmix64(acc ^ rowMin*0xff51afd7ed558ccd)
-}
-
-// Min returns the element of xs with the smallest hash value and that value.
-// It panics on an empty slice.
-func (h Hash) Min(xs []uint32) (argmin uint32, min uint64) {
-	if len(xs) == 0 {
-		panic("minhash: Min of empty slice")
-	}
-	argmin, min = xs[0], h.Uint64(xs[0])
-	for _, x := range xs[1:] {
-		if v := h.Uint64(x); v < min {
-			argmin, min = x, v
-		}
-	}
-	return argmin, min
-}

@@ -161,8 +161,7 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 	if perEngine < 1 {
 		perEngine = 1
 	}
-	base := core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed, Workers: perEngine,
-		LSHBands: cfg.LSHBands, LSHRows: cfg.LSHRows}
+	base := core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed, Workers: perEngine}
 	// The partition depends only on (graph, Shards, PartitionMethod, Seed),
 	// none of which /v1/summarize can change, so labels — and with them the
 	// node→shard routing — are stable across hot rebuilds.
@@ -199,8 +198,6 @@ func buildSingle(ctx context.Context, g *graph.Graph, cfg Config, budgetBits flo
 		Seed:       cfg.Seed,
 		BudgetBits: budgetBits,
 		Workers:    cfg.BuildWorkers,
-		LSHBands:   cfg.LSHBands,
-		LSHRows:    cfg.LSHRows,
 	}
 	stats := distributed.BuildStats{ReusedShards: make([]bool, 1), LoadedShards: make([]bool, 1)}
 	var keys []string

@@ -36,7 +36,9 @@ type BatchItem struct {
 	Node uint32 `json:"node"`
 	// Shard is the shard that answered (or would have answered) the item;
 	// -1 when the node could not be routed.
-	Shard  int  `json:"shard"`
+	Shard int `json:"shard"`
+	// Cached reports that this item did not compute its answer: it came
+	// from the result cache or from an identical in-flight computation.
 	Cached bool `json:"cached"`
 	// Error is set when this item failed; exactly one of Error or the
 	// result fields is populated.
@@ -202,7 +204,7 @@ func (s *Server) runShardGroup(ctx context.Context, box *backendBox, kind, metri
 				continue
 			}
 			s.metrics.ObserveCache(status)
-			it.Cached = status == CacheHit
+			it.Cached = status != CacheMiss
 			fillResult(&it.Scores, &it.Dist, &it.Top, kind, val)
 		}
 	}

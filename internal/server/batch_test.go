@@ -201,8 +201,13 @@ func TestBatchKinds(t *testing.T) {
 		}
 	}
 
-	// Two pagerank queries on the same shard share one cached vector: the
-	// second item of the pair must be a hit even on a fresh key space.
+	// Two pagerank queries on the same shard share one vector: on a fresh
+	// key space exactly one item of the pair computes it. The pair may run
+	// concurrently, so either item may lead; the other reports cached,
+	// whether it hit the stored vector or joined the in-flight computation.
+	// The server is shared (and -count repeats this test), so empty its
+	// cache first.
+	s.cache.Purge()
 	cb := s.current().be.(*clusterBackend)
 	var pair []uint32
 	for q := 0; q < len(cb.c.Assign) && len(pair) < 2; q++ {
@@ -220,8 +225,9 @@ func TestBatchKinds(t *testing.T) {
 	if pr.Items[0].Error != "" || pr.Items[1].Error != "" {
 		t.Fatalf("pagerank items failed: %q, %q", pr.Items[0].Error, pr.Items[1].Error)
 	}
-	if !pr.Items[1].Cached {
-		t.Error("second same-shard pagerank item recomputed instead of sharing the shard vector")
+	if pr.Items[0].Cached == pr.Items[1].Cached {
+		t.Errorf("same-shard pagerank pair reported cached %v and %v, want exactly one computed item",
+			pr.Items[0].Cached, pr.Items[1].Cached)
 	}
 }
 

@@ -34,13 +34,6 @@ type Config struct {
 	Alpha float64
 	// Seed drives partitioning and summarization randomness.
 	Seed int64
-	// LSHBands enables banded MinHash-LSH candidate generation in the
-	// summary builds (core.Config.LSHBands; default 0 keeps the paper's
-	// single-hash grouping).
-	LSHBands int
-	// LSHRows is the rows-per-band of the LSH signature matrix; requires
-	// LSHBands > 0 (default 2 when bands are set).
-	LSHRows int
 	// CacheEntries bounds the query-result cache (default 4096; negative
 	// disables storage, keeping only singleflight dedup).
 	CacheEntries int
@@ -112,17 +105,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if !isFinite(c.Alpha) {
 		return c, fmt.Errorf("server: Alpha must be finite, got %v", c.Alpha)
-	}
-	// Mirror core's LSH validation here so a bad flag fails at startup with
-	// a server-prefixed message instead of on the first build.
-	if c.LSHBands < 0 {
-		return c, fmt.Errorf("server: LSHBands must be non-negative, got %d", c.LSHBands)
-	}
-	if c.LSHBands == 0 && c.LSHRows != 0 {
-		return c, fmt.Errorf("server: LSHRows requires LSHBands > 0, got LSHRows=%d", c.LSHRows)
-	}
-	if c.LSHBands > 0 && c.LSHRows < 0 {
-		return c, fmt.Errorf("server: LSHRows must be positive, got %d", c.LSHRows)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096

@@ -180,7 +180,7 @@ type QueryResponse struct {
 	Kind       string      `json:"kind"`
 	Node       uint32      `json:"node"`
 	Shard      int         `json:"shard"`
-	Cached     bool        `json:"cached"`
+	Cached     bool        `json:"cached"` // not computed by this request: a cache hit or a shared in-flight computation
 	Generation uint64      `json:"generation"`
 	Scores     []float64   `json:"scores,omitempty"`
 	Dist       []int32     `json:"dist,omitempty"` // hop distances; -1 = unreached
@@ -519,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Kind:       kind,
 		Node:       req.Node,
 		Shard:      shard,
-		Cached:     status == CacheHit,
+		Cached:     status != CacheMiss,
 		Generation: box.gen,
 		Trace:      debugTrace(r),
 	}
