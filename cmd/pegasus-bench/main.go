@@ -153,7 +153,7 @@ func main() {
 		minWarm     = flag.Float64("min-warm-speedup", 0, "fail unless a warm start from a populated artifact cache beats the cold build by this factor (0 disables; core-count independent)")
 		cacheDir    = flag.String("cache-dir", "", "artifact cache directory for the warm-start arms (empty uses a temp dir; pass a path to keep/upload the populated cache)")
 		scaleOn     = flag.Bool("scale", true, "run the real-graph-scale section: SNAP ingest + sharded build + routed queries at 10^4 and 10^5 nodes")
-		scaleLarge  = flag.Bool("scale-large", false, "add the 10^6-node arm to the scale section (per-shard summarization at 10^6 nodes costs tens of minutes per core; off by default so the committed report stays cheap to regenerate)")
+		scaleLarge  = flag.Bool("scale-large", false, "add the 10^6-node arm to the scale section (off by default so the committed report stays cheap to regenerate)")
 		scaleShards = flag.Int("scale-shards", 2, "cluster shard count for the scale section. Alg. 3 summarizes the whole graph once per shard, so total build work grows with the shard count — the arms only get cheaper with shards when cores are plentiful")
 		scaleQ      = flag.Int("scale-queries", 100, "routed RWR queries per scale arm (QPS/p50/p99 sample size)")
 		scaleBudget = flag.Float64("scale-budget", 0.7, "summary budget fraction for the scale arms (milder than the main -budget: merge depth dominates build time at 10^5+ nodes)")

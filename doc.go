@@ -117,7 +117,7 @@
 // summary is persisted at <dir>/<shardkey>.pgsum in a versioned,
 // checksummed binary format, and a restarted server decodes its cluster
 // from disk instead of re-running summarization — bit-identical to a cold
-// build, ~90x faster on the bench graph. Corrupt or version-mismatched
+// build, ~20x faster on the bench graph. Corrupt or version-mismatched
 // artifacts are rebuilt (typed ErrArtifactCorrupt/ErrArtifactVersion,
 // never a panic). In-process:
 //

@@ -79,8 +79,8 @@ func TestSortGroupingMatchesLegacyMap(t *testing.T) {
 				cfg.Workers = workers
 				e := newTestEngine(t, tc.g, cfg)
 				// Kill a few slots so members/dead-slot handling is exercised.
-				e.performMerge(0, 1, false)
-				e.performMerge(2, 3, false)
+				e.performMerge(0, 1)
+				e.performMerge(2, 3)
 				for iter := 1; iter <= 3; iter++ {
 					e.rng = rand.New(rand.NewSource(seed))
 					want := e.candidateGroupsLegacyMap(context.Background(), iter)

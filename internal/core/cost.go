@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Cost machinery (§III-B). All reconstruction-error quantities are kept in
@@ -71,64 +71,63 @@ func entropyBits(t, e float64) float64 {
 
 // supernodeCost computes Cost_A (Eq. 9) for slot a under the current
 // superedge set, given a's masses in pm. Superedges to supernodes with zero
-// mass are also charged (presence bits only).
+// mass are also charged, in ascending slot order (the sorted superedge
+// list) so cost sums are bit-for-bit deterministic.
+//
+//pegasus:hotpath runs for both endpoints of every candidate pair whose Cost_A is not memoized
 func (eng *engine) supernodeCost(a uint32, pm *pairMass) float64 {
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
+	piA, qA := eng.sumPi[a], eng.sumPiSq[a]
+	sa := eng.sedges[a]
 	total := 0.0
-	for _, x := range pm.keys {
-		dm := pm.m[x]
+	for i, x := range pm.keys {
 		var t, e float64
 		if x == a {
-			t, e = selfTotals(eng.sumPi[a], eng.sumPiSq[a], dm)
+			t, e = selfTotals(piA, qA, pm.vals[i])
 		} else {
-			t, e = crossTotals(eng.sumPi[a], eng.sumPi[x], dm)
+			t, e = crossTotals(piA, eng.sumPi[x], pm.vals[i])
 		}
-		total += eng.pairCost(t, e, eng.hasSuperedge(a, x), logS2)
+		_, present := slices.BinarySearch(sa, x)
+		total += eng.pairCost(t, e, present, logS2)
 	}
-	// Superedges with zero mass are pathological but possible; accumulate
-	// them in sorted order so cost sums are bit-for-bit deterministic (map
-	// iteration order would otherwise perturb argmax tie-breaking).
-	var zeroMass []uint32
-	for x := range eng.sedges[a] { //lint:ordered zero-mass keys are sorted below before any accumulation
-		if _, ok := pm.m[x]; !ok {
-			zeroMass = append(zeroMass, x)
+	// Superedges with zero mass: possible only when weight products
+	// underflow.
+	for _, x := range sa {
+		if pm.pos[x] != 0 {
+			continue
 		}
-	}
-	if len(zeroMass) > 1 {
-		sort.Slice(zeroMass, func(i, j int) bool { return zeroMass[i] < zeroMass[j] })
-	}
-	for _, x := range zeroMass {
 		var t, e float64
 		if x == a {
-			t, e = selfTotals(eng.sumPi[a], eng.sumPiSq[a], 0)
+			t, e = selfTotals(piA, qA, 0)
 		} else {
-			t, e = crossTotals(eng.sumPi[a], eng.sumPi[x], 0)
+			t, e = crossTotals(piA, eng.sumPi[x], 0)
 		}
 		total += eng.pairCost(t, e, true, logS2)
 	}
 	return total
 }
 
-// evaluateMerge computes the cost reduction of merging slots a and b:
-// Eq. (10) (absolute) and Eq. (11) (relative). It fills eng.pmA/pmB as a
-// side effect (reused by performMerge when the pair is accepted).
+// evaluateMerge computes the cost reduction of merging slots a and b on the
+// first worker's scratch; see evaluateMergeInto.
 func (eng *engine) evaluateMerge(a, b uint32) (rel, abs float64) {
-	return eng.evaluateMergeInto(a, b, &eng.pmA, &eng.pmB)
+	return eng.evaluateMergeInto(a, b, eng.scorer.scratchFor(0, len(eng.superOf)))
 }
 
-// evaluateMergeInto is evaluateMerge with caller-supplied mass scratch: it
-// only reads the engine state, so distinct scratch pairs may evaluate
-// distinct candidate pairs concurrently (the parallel scoring path). pmA/pmB
-// are left holding the masses of a and b for reuse by performMerge.
-func (eng *engine) evaluateMergeInto(a, b uint32, pmA, pmB *pairMass) (rel, abs float64) {
+// evaluateMergeInto computes the cost reduction of merging slots a and b:
+// Eq. (10) (absolute) and Eq. (11) (relative). It only reads the engine
+// state and writes s, so distinct scratches may evaluate distinct candidate
+// pairs concurrently (the parallel scoring path). s.curA/s.curB are left
+// holding the masses of a and b for reuse by performMergeWith.
+func (eng *engine) evaluateMergeInto(a, b uint32, s *evalScratch) (rel, abs float64) {
+	pmA, pmB := &s.curA, &s.curB
 	eng.accumulateMass(a, pmA)
 	eng.accumulateMass(b, pmB)
 
-	costA := eng.supernodeCost(a, pmA)
-	costB := eng.supernodeCost(b, pmB)
+	costA := eng.memoCost(s, a, pmA)
+	costB := eng.memoCost(s, b, pmB)
 
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
-	tAB, eAB := crossTotals(eng.sumPi[a], eng.sumPi[b], pmA.m[b])
+	tAB, eAB := crossTotals(eng.sumPi[a], eng.sumPi[b], pmA.get(b))
 	costAB := eng.pairCost(tAB, eAB, eng.hasSuperedge(a, b), logS2)
 
 	before := costA + costB - costAB
@@ -141,10 +140,22 @@ func (eng *engine) evaluateMergeInto(a, b uint32, pmA, pmB *pairMass) (rel, abs 
 	return abs / before, abs
 }
 
+// memoCost returns Cost_A of slot a from s's memo, computing it from a's
+// masses in pm when the memoized value predates the current epoch.
+func (eng *engine) memoCost(s *evalScratch, a uint32, pm *pairMass) float64 {
+	m := &s.costs[a]
+	if m.epoch != eng.epoch {
+		m.cost, m.epoch = eng.supernodeCost(a, pm), eng.epoch
+	}
+	return m.cost
+}
+
 // mergedCost computes Cost_{A∪B}(merge(A,B;G)) (the last term of Eq. 10):
 // the cost of the hypothetical merged supernode with superedges re-chosen
 // optimally (Alg. 2 line 9), evaluated in the post-merge summary where
 // |S| is one smaller. Requires pmA/pmB to hold the masses of a and b.
+//
+//pegasus:hotpath runs once per candidate-pair evaluation
 func (eng *engine) mergedCost(a, b uint32, pmA, pmB *pairMass) float64 {
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper-1), 2))
 	piC := eng.sumPi[a] + eng.sumPi[b]
@@ -152,53 +163,49 @@ func (eng *engine) mergedCost(a, b uint32, pmA, pmB *pairMass) float64 {
 
 	total := 0.0
 	// Cross pairs to every adjacent supernode X ∉ {a,b}.
-	for _, x := range pmA.keys {
+	for i, x := range pmA.keys {
 		if x == a || x == b {
 			continue
 		}
-		dm := pmA.m[x] + pmB.m[x] // m[x] is 0 when absent
-		t, e := crossTotals(piC, eng.sumPi[x], dm)
+		t, e := crossTotals(piC, eng.sumPi[x], pmA.vals[i]+pmB.get(x))
 		c, _ := eng.bestPairCost(t, e, logS2)
 		total += c
 	}
-	for _, x := range pmB.keys {
-		if x == a || x == b {
-			continue
+	for i, x := range pmB.keys {
+		if x == a || x == b || pmA.pos[x] != 0 {
+			continue // a, b, or already handled above
 		}
-		if _, seen := pmA.m[x]; seen {
-			continue // already handled above
-		}
-		t, e := crossTotals(piC, eng.sumPi[x], pmB.m[x])
+		t, e := crossTotals(piC, eng.sumPi[x], pmB.vals[i])
 		c, _ := eng.bestPairCost(t, e, logS2)
 		total += c
 	}
 	// Self pair of the merged supernode: ordered intra mass
 	// dm_AA + dm_BB + 2·m_AB.
-	dmCC := pmA.m[a] + pmB.m[b] + 2*pmA.m[b]
+	dmCC := pmA.get(a) + pmB.get(b) + 2*pmA.get(b)
 	t, e := selfTotals(piC, qC, dmCC)
 	c, _ := eng.bestPairCost(t, e, logS2)
 	return total + c
 }
 
-// performMerge merges slot b into slot a using the main-goroutine scratch;
-// see performMergeWith.
-func (eng *engine) performMerge(a, b uint32, massesFresh bool) {
-	eng.performMergeWith(a, b, &eng.pmA, &eng.pmB, massesFresh)
+// performMerge accumulates the masses of a and b on the first worker's
+// scratch and merges b into a; see performMergeWith.
+func (eng *engine) performMerge(a, b uint32) {
+	s := eng.scorer.scratchFor(0, len(eng.superOf))
+	eng.accumulateMass(a, &s.curA)
+	eng.accumulateMass(b, &s.curB)
+	eng.performMergeWith(a, b, &s.curA, &s.curB)
 }
 
 // performMergeWith merges slot b into slot a (Alg. 2 lines 6–9): removes
 // stale superedges, unions members and aggregates, and re-adds superedges
 // incident to the merged supernode exactly when presence lowers the pair
 // cost. pmA/pmB must hold the masses of a and b (as left by the argmax
-// evaluation's scratch, so the winning evaluation is not repeated here;
-// recomputed when massesFresh is false).
-func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass, massesFresh bool) {
-	if !massesFresh {
-		eng.accumulateMass(a, pmA)
-		eng.accumulateMass(b, pmB)
-	}
+// evaluation's scratch, so the winning evaluation is not repeated here).
+func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
+	eng.epoch++
 	eng.removeIncidentSuperedges(a)
 	eng.removeIncidentSuperedges(b)
+	eng.sedges[b] = nil
 
 	// Union b into a.
 	for _, u := range eng.members[b] {
@@ -214,6 +221,8 @@ func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass, massesFresh
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
 	piC, qC := eng.sumPi[a], eng.sumPiSq[a]
 
+	// a's list is rebuilt unsorted and sorted once at the end; each kept
+	// neighbor gets a in its own sorted list.
 	decide := func(x uint32, dm float64) {
 		var t, e float64
 		if x == a {
@@ -221,28 +230,31 @@ func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass, massesFresh
 		} else {
 			t, e = crossTotals(piC, eng.sumPi[x], dm)
 		}
-		if _, present := eng.bestPairCost(t, e, logS2); present {
-			eng.addSuperedge(a, x)
+		if _, present := eng.bestPairCost(t, e, logS2); !present {
+			return
 		}
+		eng.sedges[a] = append(eng.sedges[a], x)
+		if x != a {
+			eng.sedges[x] = insertSorted(eng.sedges[x], a)
+		}
+		eng.numP++
 	}
 
-	dmCC := pmA.m[a] + pmB.m[b] + 2*pmA.m[b]
-	for _, x := range pmA.keys {
+	dmCC := pmA.get(a) + pmB.get(b) + 2*pmA.get(b)
+	for i, x := range pmA.keys {
 		if x == a || x == b {
 			continue
 		}
-		decide(x, pmA.m[x]+pmB.m[x])
+		decide(x, pmA.vals[i]+pmB.get(x))
 	}
-	for _, x := range pmB.keys {
-		if x == a || x == b {
+	for i, x := range pmB.keys {
+		if x == a || x == b || pmA.pos[x] != 0 {
 			continue
 		}
-		if _, inA := pmA.m[x]; inA {
-			continue
-		}
-		decide(x, pmB.m[x])
+		decide(x, pmB.vals[i])
 	}
 	if dmCC > 0 {
 		decide(a, dmCC)
 	}
+	slices.Sort(eng.sedges[a])
 }

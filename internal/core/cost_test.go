@@ -1,0 +1,233 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pegasus/internal/gen"
+	"pegasus/internal/graph"
+	"pegasus/internal/weights"
+)
+
+// TestCostMemoMatchesFromScratch pins the per-worker Cost_A memo bit for
+// bit: after every merge round, each memo entry tagged with the current
+// epoch (the entries the next round may reuse) must equal a fresh
+// supernodeCost of its slot.
+func TestCostMemoMatchesFromScratch(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"ba":  gen.BarabasiAlbert(300, 4, 3),
+		"sbm": gen.PlantedPartition(gen.SBMConfig{Nodes: 240, Communities: 4, AvgDegree: 12, MixingP: 0.08}, 5),
+	}
+	cfgs := map[string]Config{
+		"uniform":      {BudgetRatio: 0.4, Seed: 3},
+		"personalized": {Targets: []graph.NodeID{0, 1, 2}, Alpha: 1.5, BudgetRatio: 0.35, Seed: 5},
+		"abscost":      {BudgetRatio: 0.4, Seed: 7, CostMode: AbsoluteCost},
+		"bestoftwo":    {BudgetRatio: 0.3, Seed: 11, Encoding: BestOfTwo, Alpha: 1},
+	}
+	for _, gname := range slices.Sorted(maps.Keys(graphs)) {
+		for _, cname := range slices.Sorted(maps.Keys(cfgs)) {
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", gname, cname, workers), func(t *testing.T) {
+					cfg := cfgs[cname]
+					cfg.Workers = workers
+					checkMemoEveryRound(t, newTestEngine(t, graphs[gname], cfg))
+				})
+			}
+		}
+	}
+}
+
+// checkMemoEveryRound runs the first iterations of Alg. 1 on e and checks
+// every worker's memo after each merge round.
+func checkMemoEveryRound(t *testing.T, e *engine) {
+	t.Helper()
+	fresh := newPairMass(len(e.superOf))
+	rounds, checked := 0, 0
+	e.afterRound = func() {
+		rounds++
+		for w, s := range e.scorer.scratch {
+			for a, m := range s.costs {
+				if m.epoch != e.epoch {
+					continue
+				}
+				e.accumulateMass(uint32(a), &fresh)
+				want := e.supernodeCost(uint32(a), &fresh)
+				if math.Float64bits(m.cost) != math.Float64bits(want) {
+					t.Fatalf("round %d, worker %d, slot %d: memoized Cost_A %v, from scratch %v",
+						rounds, w, a, m.cost, want)
+				}
+				checked++
+			}
+		}
+	}
+	theta := e.cfg.Threshold.Initial()
+	for it := 1; it <= 4 && e.sizeBits() > e.cfg.BudgetBits; it++ {
+		var rejected []float64
+		for _, grp := range e.candidateGroups(context.Background(), it) {
+			e.mergeGroup(grp, theta, &rejected)
+		}
+		theta = e.cfg.Threshold.Next(it, rejected, theta)
+	}
+	if checked == 0 {
+		t.Fatalf("no memo entry outlived its round in %d rounds", rounds)
+	}
+}
+
+// TestMergeReductionMatchesBruteForce is the Eq. (10) oracle. On small
+// random graphs it applies random merges and, around each one, recomputes
+// Cost_A, Cost_B and Cost_AB (before) and Cost_{A∪B} (after, at |S|−1)
+// from the graph's edge list and the node→supernode map, with Eq. (6)
+// written out here rather than called. The engine's predicted reduction
+// must equal before − after, and every superedge incident to the merged
+// supernode must be present exactly when presence is cheaper (Alg. 2
+// line 9).
+func TestMergeReductionMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(53) // at most 60 nodes
+		var g *graph.Graph
+		switch rng.Intn(3) {
+		case 0:
+			g = gen.BarabasiAlbert(n, 1+rng.Intn(4), seed)
+		case 1:
+			g = gen.ErdosRenyi(n, n+rng.Intn(3*n), seed)
+		default:
+			g = gen.PlantedPartition(gen.SBMConfig{
+				Nodes: n, Communities: 1 + rng.Intn(4),
+				AvgDegree: 2 + 6*rng.Float64(), MixingP: rng.Float64() / 2,
+			}, seed)
+		}
+		var targets []graph.NodeID
+		if rng.Intn(2) == 0 {
+			targets = graph.SampleNodes(g, 1+rng.Intn(4), seed)
+		}
+		e := newTestEngine(t, g, Config{Targets: targets, Alpha: 1 + rng.Float64(), Seed: seed, Workers: 1})
+		w, err := weights.New(g, e.cfg.Targets, e.cfg.Alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := newCostOracle(g, w)
+		for step := 0; ; step++ {
+			slots := e.aliveSlots()
+			if len(slots) < 2 {
+				break
+			}
+			a := slots[rng.Intn(len(slots))]
+			b := slots[rng.Intn(len(slots))]
+			if a == b {
+				continue
+			}
+			o.load(e)
+			if x := slots[rng.Intn(len(slots))]; rng.Intn(4) == 0 && o.mass[int(a)*n+int(x)] == 0 && !e.hasSuperedge(a, x) {
+				// A superedge with no edge mass behind it (reachable only
+				// when weight products underflow) is charged too.
+				e.sedges[a] = insertSorted(e.sedges[a], x)
+				if x != a {
+					e.sedges[x] = insertSorted(e.sedges[x], a)
+				}
+				e.numP++
+				e.epoch++
+			}
+			_, abs := e.evaluateMerge(a, b)
+			before := o.slotCost(e, a) + o.slotCost(e, b) - o.pairCost(a, b, e.hasSuperedge(a, b))
+			e.performMerge(a, b)
+			o.load(e)
+			after := o.slotCost(e, a)
+			if d := abs - (before - after); math.Abs(d) > 1e-9*math.Max(1, math.Abs(before)) {
+				t.Fatalf("seed %d step %d merge %d<-%d: engine reduction %v, brute force %v (diff %g)",
+					seed, step, a, b, abs, before-after, d)
+			}
+			for _, x := range e.aliveSlots() {
+				with := o.pairCost(a, x, true)
+				without := o.pairCost(a, x, false)
+				if math.Abs(with-without) <= 1e-9*math.Max(1, math.Abs(without)) {
+					continue // a tie up to rounding: either choice is optimal
+				}
+				if got, want := e.hasSuperedge(a, x), with < without; got != want {
+					t.Fatalf("seed %d step %d: superedge %d-%d present=%v, but with=%v without=%v bits",
+						seed, step, a, x, got, with, without)
+				}
+			}
+		}
+	}
+}
+
+// costOracle recomputes supernode aggregates and pair masses from scratch.
+type costOracle struct {
+	g     *graph.Graph
+	edges []graph.Edge
+	pi    []float64 // π scaled by 1/sqrt(Z): π'_u·π'_v = W_uv
+	sumPi []float64 // slot -> Π
+	sumSq []float64 // slot -> Q
+	mass  []float64 // |V|×|V| by slot pair: unordered weighted edge mass m_XY
+	numS  int
+}
+
+func newCostOracle(g *graph.Graph, w *weights.Weights) *costOracle {
+	n := g.NumNodes()
+	o := &costOracle{g: g, edges: g.EdgeList(), pi: make([]float64, n),
+		sumPi: make([]float64, n), sumSq: make([]float64, n), mass: make([]float64, n*n)}
+	for u := range o.pi {
+		o.pi[u] = w.Pi[u] / math.Sqrt(w.Z)
+	}
+	return o
+}
+
+// load recomputes every aggregate from the edge list and e.superOf.
+func (o *costOracle) load(e *engine) {
+	n := o.g.NumNodes()
+	clear(o.sumPi)
+	clear(o.sumSq)
+	clear(o.mass)
+	seen := make(map[uint32]bool)
+	for u, a := range e.superOf {
+		o.sumPi[a] += o.pi[u]
+		o.sumSq[a] += o.pi[u] * o.pi[u]
+		seen[a] = true
+	}
+	o.numS = len(seen)
+	for _, ed := range o.edges {
+		a, b := e.superOf[ed.U], e.superOf[ed.V]
+		m := o.pi[ed.U] * o.pi[ed.V]
+		o.mass[int(a)*n+int(b)] += m
+		if a != b {
+			o.mass[int(b)*n+int(a)] += m
+		}
+	}
+}
+
+// pairCost is Cost_XY of Eq. (6) under ErrorCorrection, in the ordered
+// convention of Eq. (1): t ordered pairs, e ordered edge mass; a present
+// superedge costs its two endpoint ids plus log2|V| bits per missing
+// ordered pair, an absent one log2|V| bits per ordered edge.
+func (o *costOracle) pairCost(x, y uint32, present bool) float64 {
+	var t, em float64
+	if x == y {
+		t = o.sumPi[x]*o.sumPi[x] - o.sumSq[x]
+		em = 2 * o.mass[int(x)*o.g.NumNodes()+int(x)]
+	} else {
+		t = 2 * o.sumPi[x] * o.sumPi[y]
+		em = 2 * o.mass[int(x)*o.g.NumNodes()+int(y)]
+	}
+	logV := math.Log2(math.Max(float64(o.g.NumNodes()), 2))
+	if present {
+		logS := math.Log2(math.Max(float64(o.numS), 2)) // Eq. (3) charges log2 2 below two supernodes
+		return 2*logS + logV*math.Max(t-em, 0)
+	}
+	return logV * em
+}
+
+// slotCost is Cost_X of Eq. (9): Cost_XY summed over every supernode Y,
+// with presence read from the engine's superedges.
+func (o *costOracle) slotCost(e *engine, x uint32) float64 {
+	total := 0.0
+	for _, y := range e.aliveSlots() {
+		total += o.pairCost(x, y, e.hasSuperedge(x, y))
+	}
+	return total
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"pegasus/internal/graph"
 	"pegasus/internal/par"
@@ -24,17 +25,19 @@ type engine struct {
 	// and Z disappears from every formula.
 	pi []float64
 
-	superOf  []uint32          // node -> slot
-	members  [][]graph.NodeID  // slot -> member nodes; nil when dead
-	sumPi    []float64         // slot -> Π_A (scaled)
-	sumPiSq  []float64         // slot -> Q_A (scaled)
-	sedges   []map[uint32]bool // slot -> superedge neighbor set (may contain the slot itself: self-loop)
-	numSuper int               // |S|
-	numP     int               // |P|
-	logV     float64           // log2|V|
+	superOf  []uint32         // node -> slot
+	members  [][]graph.NodeID // slot -> member nodes; nil when dead
+	sumPi    []float64        // slot -> Π_A (scaled)
+	sumPiSq  []float64        // slot -> Q_A (scaled)
+	sedges   [][]uint32       // slot -> sorted superedge neighbors (may contain the slot itself once: self-loop)
+	numSuper int              // |S|
+	numP     int              // |P|
+	logV     float64          // log2|V|
 
-	// scratch buffers reused across merge evaluations on the main goroutine
-	pmA, pmB pairMass
+	// epoch counts merges, the only state change while pairs are scored:
+	// a memoized Cost_A is exact while its epoch is current (scorer.go).
+	// sparsify drops superedges only after the last scoring round.
+	epoch uint64
 
 	// candidate-generation scratch reused across iterations (shingle.go):
 	// per-depth node-shingle vectors tagged with the seed that filled them,
@@ -49,6 +52,10 @@ type engine struct {
 	// scorer holds the batched-round state of mergeGroup: the sampled pairs
 	// of the current round and the per-worker evaluation scratch.
 	scorer roundScorer
+
+	// afterRound, when set, runs after every merge round (a test hook for
+	// checking the scoring memo between rounds; nil in every build).
+	afterRound func()
 }
 
 // pairMass accumulates directed weighted edge mass from one supernode to
@@ -56,23 +63,31 @@ type engine struct {
 // For X ≠ A, dm_AX equals the unordered weighted edge mass m_AX; for X = A
 // each intra edge is visited from both endpoints, so dm_AA = 2·m_AA, which
 // is exactly the ordered intra edge mass.
+//
+// keys holds the adjacent slots in first-visit order and vals their masses,
+// so every sum runs in visit order; pos is a dense slot index into them.
 type pairMass struct {
 	keys []uint32
-	m    map[uint32]float64
+	vals []float64
+	pos  []int32 // slot -> 1 + index into keys; 0 = not adjacent
 }
+
+func newPairMass(slots int) pairMass { return pairMass{pos: make([]int32, slots)} }
 
 func (pm *pairMass) reset() {
 	for _, k := range pm.keys {
-		delete(pm.m, k)
+		pm.pos[k] = 0
 	}
 	pm.keys = pm.keys[:0]
+	pm.vals = pm.vals[:0]
 }
 
-func (pm *pairMass) add(x uint32, v float64) {
-	if _, ok := pm.m[x]; !ok {
-		pm.keys = append(pm.keys, x)
+// get returns dm to slot x, 0 when x is not adjacent.
+func (pm *pairMass) get(x uint32) float64 {
+	if i := pm.pos[x]; i > 0 {
+		return pm.vals[i-1]
 	}
-	pm.m[x] += v
+	return 0
 }
 
 // newEngine initializes the singleton summary of Alg. 1 line 1: every node
@@ -88,11 +103,20 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 		members:  make([][]graph.NodeID, n),
 		sumPi:    make([]float64, n),
 		sumPiSq:  make([]float64, n),
-		sedges:   make([]map[uint32]bool, n),
+		sedges:   make([][]uint32, n),
 		numSuper: n,
 		numP:     int(g.NumEdges()),
 		logV:     math.Log2(math.Max(float64(n), 2)),
+		epoch:    1,
 	}
+	// The singleton superedge lists are the (sorted) adjacency lists, copied
+	// into one backing array. Each list is capped at its own length, so an
+	// insert reallocates that list alone and a delete shifts only within it.
+	offsets := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		offsets[u+1] = offsets[u] + g.Degree(graph.NodeID(u))
+	}
+	flat := make([]uint32, offsets[n])
 	invSqrtZ := 1 / math.Sqrt(w.Z)
 	// Each index writes only its own slots, so the singleton initialization
 	// is range-shardable; the result is identical for any worker count.
@@ -104,14 +128,11 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 			e.members[u] = []graph.NodeID{graph.NodeID(u)}
 			e.sumPi[u] = p
 			e.sumPiSq[u] = p * p
-			e.sedges[u] = make(map[uint32]bool, g.Degree(graph.NodeID(u)))
-			for _, v := range g.Neighbors(graph.NodeID(u)) {
-				e.sedges[u][uint32(v)] = true
-			}
+			se := flat[offsets[u]:offsets[u+1]:offsets[u+1]]
+			copy(se, g.Neighbors(graph.NodeID(u)))
+			e.sedges[u] = se
 		}
 	})
-	e.pmA.m = make(map[uint32]float64)
-	e.pmB.m = make(map[uint32]float64)
 	return e
 }
 
@@ -124,35 +145,56 @@ func (e *engine) sizeBits() float64 {
 	return (2*float64(e.numP) + float64(len(e.superOf))) * math.Log2(k)
 }
 
-func (e *engine) hasSuperedge(a, b uint32) bool { return e.sedges[a][b] }
+func (e *engine) hasSuperedge(a, b uint32) bool {
+	_, ok := slices.BinarySearch(e.sedges[a], b)
+	return ok
+}
 
-func (e *engine) addSuperedge(a, b uint32) {
-	e.sedges[a][b] = true
-	e.sedges[b][a] = true
-	e.numP++
+// insertSorted adds x to the sorted set s.
+func insertSorted(s []uint32, x uint32) []uint32 {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, x)
+}
+
+// deleteSorted removes x from the sorted set s.
+func deleteSorted(s []uint32, x uint32) []uint32 {
+	if i, found := slices.BinarySearch(s, x); found {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 // removeIncidentSuperedges drops every superedge incident to slot a (Alg. 2
-// line 8) and returns how many were removed.
-func (e *engine) removeIncidentSuperedges(a uint32) int {
-	removed := len(e.sedges[a])
-	for x := range e.sedges[a] { //lint:ordered each iteration deletes an independent mirror entry; order cannot affect the result
+// line 8).
+func (e *engine) removeIncidentSuperedges(a uint32) {
+	for _, x := range e.sedges[a] {
 		if x != a {
-			delete(e.sedges[x], a)
+			e.sedges[x] = deleteSorted(e.sedges[x], a)
 		}
 	}
-	e.numP -= removed
-	e.sedges[a] = make(map[uint32]bool)
-	return removed
+	e.numP -= len(e.sedges[a])
+	e.sedges[a] = e.sedges[a][:0]
 }
 
 // accumulateMass fills pm with the directed masses of slot a.
+//
+//pegasus:hotpath runs twice per candidate-pair evaluation
 func (e *engine) accumulateMass(a uint32, pm *pairMass) {
 	pm.reset()
 	for _, u := range e.members[a] {
 		pu := e.pi[u]
 		for _, v := range e.g.Neighbors(u) {
-			pm.add(e.superOf[v], pu*e.pi[v])
+			x := e.superOf[v]
+			if i := pm.pos[x]; i > 0 {
+				pm.vals[i-1] += pu * e.pi[v]
+			} else {
+				pm.keys = append(pm.keys, x)
+				pm.vals = append(pm.vals, pu*e.pi[v])
+				pm.pos[x] = int32(len(pm.keys))
+			}
 		}
 	}
 }
@@ -171,11 +213,8 @@ func (e *engine) aliveSlots() []uint32 {
 // buildSummary freezes the engine state into an immutable Summary.
 func (e *engine) buildSummary() *summary.Summary {
 	b := summary.NewBuilder(e.superOf)
-	for a := range e.sedges {
-		if e.members[a] == nil {
-			continue
-		}
-		for x := range e.sedges[a] { //lint:ordered Builder keys superedges by endpoint pair and canonicalizes order at Build
+	for a, se := range e.sedges {
+		for _, x := range se {
 			if x >= uint32(a) {
 				b.AddSuperedge(uint32(a), x, 1)
 			}

@@ -76,7 +76,7 @@ func BenchmarkPerformMerge(b *testing.B) {
 		slots := e.aliveSlots()
 		b.StartTimer()
 		for j := 0; j+1 < len(slots) && j < 200; j += 2 {
-			e.performMerge(slots[j], slots[j+1], false)
+			e.performMerge(slots[j], slots[j+1])
 		}
 	}
 }

@@ -42,13 +42,16 @@ func (e *engine) mergeGroup(group []uint32, theta float64, rejected *[]float64) 
 		// pair; under AbsoluteCost the scale differs but the adaptive policy
 		// tracks it automatically via L.
 		if win.bestScore >= theta {
-			e.performMergeWith(win.best.a, win.best.b, &win.bestA, &win.bestB, true)
+			e.performMergeWith(win.best.a, win.best.b, &win.bestA, &win.bestB)
 			removeSlot(&group, win.best.b)
 			merges++
 			fails = 0
 		} else {
 			*rejected = append(*rejected, win.bestScore)
 			fails++
+		}
+		if e.afterRound != nil {
+			e.afterRound()
 		}
 	}
 	return merges

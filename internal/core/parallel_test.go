@@ -101,6 +101,27 @@ func TestSequentialGoldens(t *testing.T) {
 			t.Errorf("fingerprint = %#x, want 0x23d59a266a88b3af", got)
 		}
 	})
+	// Shaped like one perfbench shard (BA m=8, budget 0.5, α 1.25, ~0.5% of
+	// V as targets): hubs grow supernodes with hundreds of superedges, which
+	// is where the sorted superedge lists do the most inserts and deletes.
+	t.Run("ba2000m8-hubs", func(t *testing.T) {
+		g := gen.BarabasiAlbert(2000, 8, 8)
+		var merges []int
+		res, err := Summarize(g, Config{
+			Targets: []graph.NodeID{235, 261, 454, 687, 705, 883, 952, 1261, 1388, 1803},
+			Alpha:   1.25, BudgetRatio: 0.5, Seed: 8, Workers: 1,
+			Trace: func(s IterStats) { merges = append(merges, s.Merges) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprintSummary(res.Summary); got != 0xb8e7603a5d64d38e {
+			t.Errorf("fingerprint = %#x, want 0xb8e7603a5d64d38e", got)
+		}
+		wantMerges := []int{0, 38, 46, 48, 42, 32, 42, 96, 139, 54, 38}
+		if !reflect.DeepEqual(merges, wantMerges) {
+			t.Errorf("per-iteration merges = %v, want %v", merges, wantMerges)
+		}
+	})
 }
 
 // TestWorkerCountInvariance is the tentpole determinism property: the same

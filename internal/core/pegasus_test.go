@@ -232,20 +232,26 @@ func TestEngineCountsStayConsistent(t *testing.T) {
 		if a == b {
 			continue
 		}
-		e.performMerge(a, b, false)
-		// Recount |P| from scratch and compare.
+		e.performMerge(a, b)
+		// Recount |P| from scratch and compare; every list must be strictly
+		// sorted and mirrored by its neighbors' lists.
 		count := 0
-		for x := range e.sedges {
+		for x, sx := range e.sedges {
 			if e.members[x] == nil {
-				if len(e.sedges[x]) != 0 {
+				if len(sx) != 0 {
 					t.Fatal("dead slot retains superedges")
 				}
 				continue
 			}
-			//lint:ordered pure recount: every entry is validated and counted; the total is order-independent
-			for y := range e.sedges[x] {
+			for i, y := range sx {
+				if i > 0 && sx[i-1] >= y {
+					t.Fatalf("superedges of slot %d not strictly sorted: %v", x, sx)
+				}
 				if !e.alive(y) {
 					t.Fatalf("superedge to dead slot %d", y)
+				}
+				if !e.hasSuperedge(y, uint32(x)) {
+					t.Fatalf("superedge %d-%d has no mirror", x, y)
 				}
 				if y >= uint32(x) {
 					count++

@@ -94,7 +94,7 @@ func TestMergeEverythingStillWorks(t *testing.T) {
 		if len(slots) < 2 {
 			break
 		}
-		e.performMerge(slots[0], slots[1], false)
+		e.performMerge(slots[0], slots[1])
 	}
 	if e.numSuper != 1 {
 		t.Fatalf("numSuper = %d, want 1", e.numSuper)

@@ -26,22 +26,35 @@ type pairSample struct{ a, b uint32 }
 func (p pairSample) key() uint64 { return uint64(p.a)<<32 | uint64(p.b) }
 
 // evalScratch is one worker's private scoring state: mass scratch for the
-// pair under evaluation plus the retained masses of the worker-local best
-// pair, so the winning evaluation never has to be repeated by performMerge.
+// pair under evaluation, the retained masses of the worker-local best pair
+// (so the winning evaluation never has to be repeated by performMerge), and
+// a Cost_A memo by slot. Cost_A reads only state that a merge changes
+// (|S|, Π/Q, the masses through superOf, and the superedges), so a memo
+// entry is exact while its epoch equals the engine's; each worker owning its
+// memo keeps parallel scoring free of shared writes.
 type evalScratch struct {
 	curA, curB   pairMass // masses of the pair being evaluated
 	bestA, bestB pairMass // masses of the worker-local best pair
+	costs        []slotCost
 	bestScore    float64
 	bestIdx      int // index into the round's unique pairs; -1 = none accepted
 	best         pairSample
 }
 
-func newEvalScratch() *evalScratch {
+// slotCost is one memoized Cost_A with the engine epoch it was computed at
+// (0 = never computed; engine epochs start at 1).
+type slotCost struct {
+	cost  float64
+	epoch uint64
+}
+
+func newEvalScratch(slots int) *evalScratch {
 	return &evalScratch{
-		curA:  pairMass{m: make(map[uint32]float64)},
-		curB:  pairMass{m: make(map[uint32]float64)},
-		bestA: pairMass{m: make(map[uint32]float64)},
-		bestB: pairMass{m: make(map[uint32]float64)},
+		curA:  newPairMass(slots),
+		curB:  newPairMass(slots),
+		bestA: newPairMass(slots),
+		bestB: newPairMass(slots),
+		costs: make([]slotCost, slots),
 	}
 }
 
@@ -81,9 +94,9 @@ func (sc *roundScorer) dedupe(samples []pairSample) []pairSample {
 	return unique
 }
 
-func (sc *roundScorer) scratchFor(k int) *evalScratch {
+func (sc *roundScorer) scratchFor(k, slots int) *evalScratch {
 	for len(sc.scratch) <= k {
-		sc.scratch = append(sc.scratch, newEvalScratch())
+		sc.scratch = append(sc.scratch, newEvalScratch(slots))
 	}
 	return sc.scratch[k]
 }
@@ -93,7 +106,7 @@ func (sc *roundScorer) scratchFor(k int) *evalScratch {
 // first-wins semantics of the legacy sequential scan regardless of the order
 // in which a worker happens to process its share of the round.
 func (e *engine) observe(s *evalScratch, idx int, p pairSample) {
-	rel, abs := e.evaluateMergeInto(p.a, p.b, &s.curA, &s.curB)
+	rel, abs := e.evaluateMergeInto(p.a, p.b, s)
 	score := rel
 	if e.cfg.CostMode == AbsoluteCost {
 		score = abs
@@ -126,7 +139,7 @@ func (e *engine) scoreRound(pairs []pairSample) *evalScratch {
 		workers = 1
 	}
 	for k := 0; k < workers; k++ {
-		e.scorer.scratchFor(k).reset()
+		e.scorer.scratchFor(k, len(e.superOf)).reset()
 	}
 	par.ForEach(workers, n, func(w, i int) {
 		e.observe(e.scorer.scratch[w], i, pairs[i])

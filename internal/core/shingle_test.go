@@ -160,8 +160,8 @@ func TestSparsifyDropsLowMassFirst(t *testing.T) {
 	g := b.Build()
 	e := newTestEngine(t, g, Config{Seed: 7})
 	// Merge into supernodes {0,1}, {2,3}, {4}, {5} manually.
-	e.performMerge(0, 1, false)
-	e.performMerge(2, 3, false)
+	e.performMerge(0, 1)
+	e.performMerge(2, 3)
 	if !e.hasSuperedge(0, 2) {
 		t.Fatal("expected superedge between merged blocks")
 	}

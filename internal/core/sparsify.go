@@ -28,15 +28,11 @@ func (e *engine) sparsify(budgetBits float64) int {
 		return true
 	})
 	edges := make([]se, 0, e.numP)
-	for a := range e.sedges {
-		if e.members[a] == nil {
-			continue
-		}
-		for x := range e.sedges[a] { //lint:ordered edges are collected then sorted on (mass, a, b) below before any drop
-			if x < uint32(a) {
-				continue
+	for a, sa := range e.sedges {
+		for _, x := range sa {
+			if x >= uint32(a) {
+				edges = append(edges, se{uint32(a), x, masses[[2]uint32{uint32(a), x}]})
 			}
-			edges = append(edges, se{uint32(a), x, masses[[2]uint32{uint32(a), x}]})
 		}
 	}
 	sort.Slice(edges, func(i, j int) bool {
@@ -53,9 +49,9 @@ func (e *engine) sparsify(budgetBits float64) int {
 		if e.sizeBits() <= budgetBits {
 			break
 		}
-		delete(e.sedges[s.a], s.b)
+		e.sedges[s.a] = deleteSorted(e.sedges[s.a], s.b)
 		if s.a != s.b {
-			delete(e.sedges[s.b], s.a)
+			e.sedges[s.b] = deleteSorted(e.sedges[s.b], s.a)
 		}
 		e.numP--
 		dropped++
