@@ -1,14 +1,11 @@
 // Command pegasus-bench tracks the perf trajectory of the repo's hot paths
 // across PRs. It times (a) sequential vs parallel builds of a single-graph
-// summary and of a 4-shard Alg. 3 cluster, (b) batched vs single-call RWR
-// and PHP answering on a summary — the serving-tier amortization where a
-// query session computes the weighted-degree vector once per batch instead
-// of once per query — (c) incremental vs full cluster rebuilds after a
-// 1-of-m-shards targets change, the content-key reuse behind hot
-// POST /v1/summarize reconfiguration, and (d) cold vs warm cluster starts,
-// where the warm arm decodes every shard artifact from a populated disk
-// store (the cache dir behind pegasus-serve -cache-dir) instead of
-// summarizing, and (e) a scale section: the full real-graph serving path —
+// summary and of a 4-shard Alg. 3 cluster, (b) incremental vs full cluster
+// rebuilds after a 1-of-m-shards targets change, the content-key reuse
+// behind hot POST /v1/summarize reconfiguration, (c) cold vs warm cluster
+// starts, where the warm arm decodes every shard artifact from a populated
+// disk store (the cache dir behind pegasus-serve -cache-dir) instead of
+// summarizing, and (d) a scale section: the full real-graph serving path —
 // gzip SNAP ingest, sharded cluster build, routed RWR queries — at 10^4 and
 // 10^5 nodes (10^6 with -scale-large), which doubles as the CI enforcement
 // of the ingester's worker-count bit-identity contract. Results go to a JSON
@@ -19,7 +16,6 @@
 //
 //	pegasus-bench -out BENCH_summarize.json
 //	pegasus-bench -nodes 5000 -shards 8 -runs 5 -workers 8
-//	pegasus-bench -batch-nodes 64 -min-batch-speedup 1.0
 //	pegasus-bench -min-incremental-speedup 2.0 -min-warm-speedup 3.0
 //	pegasus-bench -scale-large -scale-shards 32   # add the 10^6-node arm
 package main
@@ -75,13 +71,6 @@ type Report struct {
 	// single-core host it hovers near 1 regardless of implementation.
 	SpeedupCluster   float64 `json:"speedup_cluster"`
 	SpeedupSummarize float64 `json:"speedup_summarize"`
-	// SpeedupBatchRWR is batched-vs-single RWR answering on one summary.
-	// Unlike the build speedups it does not depend on the core count: the
-	// win is the shared precompute and scratch reuse, not parallelism.
-	SpeedupBatchRWR float64 `json:"speedup_batch_rwr"`
-	// SpeedupBatchPHP is the same amortization for PHP (which shares the
-	// session precompute); also core-count independent.
-	SpeedupBatchPHP float64 `json:"speedup_batch_php"`
 	// SpeedupIncremental is full-vs-incremental cluster rebuild after a
 	// targets change confined to 1 of m shards: the incremental build
 	// transplants the other m-1 summaries by content key. Both arms run
@@ -92,22 +81,10 @@ type Report struct {
 	// pure IO+decode and the ratio is core-count independent (both arms run
 	// sequentially).
 	SpeedupWarm float64 `json:"speedup_warm"`
-	// BuildPhases breaks one traced sequential cluster build down by engine
-	// phase (build.shard, build.weights, build.shingle, build.candidates,
-	// build.merge, ...), aggregated from the span timeline. Tracing does not
-	// perturb the artifact, so this describes exactly the builds timed above.
-	BuildPhases map[string]PhaseStat `json:"build_phases"`
 	// Scale holds the real-graph-scale rows (10^4 and 10^5 nodes by default,
 	// 10^6 with -scale-large): end-to-end ingest/build/query timings on the
 	// deterministic scale-tier datasets.
 	Scale []ScaleResult `json:"scale,omitempty"`
-}
-
-// PhaseStat aggregates the spans of one phase name: how many spans ran and
-// their summed wall-clock time.
-type PhaseStat struct {
-	Count   int     `json:"count"`
-	TotalMs float64 `json:"total_ms"`
 }
 
 // ScaleResult is one row of the scale section: the full real-graph serving
@@ -146,9 +123,6 @@ func main() {
 		budget      = flag.Float64("budget", 0.4, "summary budget as a fraction of Size(G)")
 		seed        = flag.Int64("seed", 1, "graph/partition/summarization seed")
 		minSpeed    = flag.Float64("min-cluster-speedup", 0, "fail unless the cluster build speedup reaches this factor; only enforced when the host has at least `shards` CPUs (0 disables)")
-		batchN      = flag.Int("batch-nodes", 32, "query nodes per batch in the batched-RWR/PHP serving benchmarks")
-		minBatch    = flag.Float64("min-batch-speedup", 0, "fail unless batched RWR over batch-nodes nodes beats the equivalent single calls by this factor (0 disables; core-count independent)")
-		minBatchPHP = flag.Float64("min-batch-speedup-php", 0, "fail unless batched PHP over batch-nodes nodes beats the equivalent single calls by this factor (0 disables; core-count independent)")
 		minIncr     = flag.Float64("min-incremental-speedup", 0, "fail unless an incremental 1-of-shards rebuild beats the full rebuild by this factor (0 disables; core-count independent)")
 		minWarm     = flag.Float64("min-warm-speedup", 0, "fail unless a warm start from a populated artifact cache beats the cold build by this factor (0 disables; core-count independent)")
 		cacheDir    = flag.String("cache-dir", "", "artifact cache directory for the warm-start arms (empty uses a temp dir; pass a path to keep/upload the populated cache)")
@@ -253,117 +227,6 @@ func main() {
 	}
 	if seqC.Supernode != parC.Supernode || seqS.Supernode != parS.Supernode {
 		fatal("parallel and sequential builds disagree on supernode counts — determinism broken")
-	}
-
-	// Per-phase breakdown: one extra sequential cluster build with a trace
-	// attached, its span timeline aggregated by phase name. The traced build
-	// produces the same artifact as the timed ones (tracing never touches
-	// the engine's rng), so the breakdown explains the numbers above.
-	tr := pegasus.NewTrace()
-	if _, err := pegasus.BuildSummaryClusterCtx(pegasus.ContextWithTrace(context.Background(), tr),
-		g, labels, *shards, budgetBits, pegasus.Config{Seed: *seed, Workers: 1}, 1); err != nil {
-		fatal("traced build: %v", err)
-	}
-	rep.BuildPhases = map[string]PhaseStat{}
-	for _, sp := range tr.View().Spans {
-		ps := rep.BuildPhases[sp.Name]
-		ps.Count++
-		ps.TotalMs += float64(sp.DurationUs) / 1000.0
-		rep.BuildPhases[sp.Name] = ps
-	}
-
-	// Batched-vs-single RWR on one summary: the serving-tier amortization.
-	// One op = answering all batch-nodes queries, either as independent
-	// SummaryRWR calls (each rescanning the summary for the weighted-degree
-	// vector and allocating fresh iteration buffers) or through one shared
-	// session. A fixed iteration count (tiny eps, fixed max_iter) keeps the
-	// per-query work deterministic, so the ratio isolates the amortization
-	// rather than convergence noise.
-	if *batchN < 1 {
-		fatal("-batch-nodes must be >= 1, got %d", *batchN)
-	}
-	sumRes, err := pegasus.Summarize(g, pegasus.Config{BudgetBits: budgetBits, Seed: *seed, Workers: 1})
-	if err != nil {
-		fatal("summarize for batch bench: %v", err)
-	}
-	sum := sumRes.Summary
-	qs := make([]pegasus.NodeID, *batchN)
-	for i := range qs {
-		qs[i] = pegasus.NodeID((i * 37) % g.NumNodes())
-	}
-	qcfg := pegasus.RWRConfig{Eps: 1e-300, MaxIter: 6}
-	var batchOut [][]float64
-	singleFn := func(int) (int, error) {
-		for _, q := range qs {
-			if _, err := pegasus.SummaryRWR(sum, q, qcfg); err != nil {
-				return 0, err
-			}
-		}
-		return sum.NumSupernodes(), nil
-	}
-	batchFn := func(int) (int, error) {
-		out, err := pegasus.SummaryRWRBatch(sum, qs, qcfg)
-		if err != nil {
-			return 0, err
-		}
-		batchOut = out
-		return sum.NumSupernodes(), nil
-	}
-	seqQ := bench(fmt.Sprintf("rwr_single_%d", *batchN), 1, 1, singleFn)
-	batQ := bench(fmt.Sprintf("rwr_batch_%d", *batchN), 1, 1, batchFn)
-	rep.Results = append(rep.Results, seqQ, batQ)
-	if batQ.NsPerOp > 0 {
-		rep.SpeedupBatchRWR = float64(seqQ.NsPerOp) / float64(batQ.NsPerOp)
-	}
-	// Correctness anchor: the amortized path must be bit-identical to the
-	// single-call path.
-	for _, i := range []int{0, len(qs) / 2, len(qs) - 1} {
-		want, err := pegasus.SummaryRWR(sum, qs[i], qcfg)
-		if err != nil {
-			fatal("verify batch item %d: %v", i, err)
-		}
-		for j := range want {
-			if batchOut[i][j] != want[j] {
-				fatal("batched and single RWR disagree at item %d index %d — amortization changed results", i, j)
-			}
-		}
-	}
-
-	// The same amortization for PHP, which shares the session precompute.
-	pcfg := pegasus.PHPConfig{Eps: 1e-300, MaxIter: 6}
-	var phpBatchOut [][]float64
-	phpSingleFn := func(int) (int, error) {
-		for _, q := range qs {
-			if _, err := pegasus.SummaryPHP(sum, q, pcfg); err != nil {
-				return 0, err
-			}
-		}
-		return sum.NumSupernodes(), nil
-	}
-	phpBatchFn := func(int) (int, error) {
-		out, err := pegasus.SummaryPHPBatch(sum, qs, pcfg)
-		if err != nil {
-			return 0, err
-		}
-		phpBatchOut = out
-		return sum.NumSupernodes(), nil
-	}
-	seqP := bench(fmt.Sprintf("php_single_%d", *batchN), 1, 1, phpSingleFn)
-	batP := bench(fmt.Sprintf("php_batch_%d", *batchN), 1, 1, phpBatchFn)
-	rep.Results = append(rep.Results, seqP, batP)
-	if batP.NsPerOp > 0 {
-		rep.SpeedupBatchPHP = float64(seqP.NsPerOp) / float64(batP.NsPerOp)
-	}
-	for _, i := range []int{0, len(qs) / 2, len(qs) - 1} {
-		want, err := pegasus.SummaryPHP(sum, qs[i], pcfg)
-		if err != nil {
-			fatal("verify PHP batch item %d: %v", i, err)
-		}
-		for j := range want {
-			if phpBatchOut[i][j] != want[j] {
-				fatal("batched and single PHP disagree at item %d index %d — amortization changed results", i, j)
-			}
-		}
 	}
 
 	// Incremental vs full rebuild after a 1-of-m-shards targets change.
@@ -545,9 +408,8 @@ func main() {
 	if err := os.WriteFile(*out, raw, 0o644); err != nil {
 		fatal("write %s: %v", *out, err)
 	}
-	fmt.Printf("wrote %s (cluster speedup %.2fx, summarize speedup %.2fx, batch RWR %.2fx, batch PHP %.2fx, incremental rebuild %.2fx, warm start %.2fx on %d CPU(s))\n",
-		*out, rep.SpeedupCluster, rep.SpeedupSummarize, rep.SpeedupBatchRWR,
-		rep.SpeedupBatchPHP, rep.SpeedupIncremental, rep.SpeedupWarm, rep.Host.NumCPU)
+	fmt.Printf("wrote %s (cluster speedup %.2fx, summarize speedup %.2fx, incremental rebuild %.2fx, warm start %.2fx on %d CPU(s))\n",
+		*out, rep.SpeedupCluster, rep.SpeedupSummarize, rep.SpeedupIncremental, rep.SpeedupWarm, rep.Host.NumCPU)
 
 	if *minSpeed > 0 {
 		if rep.Host.NumCPU < *shards {
@@ -558,16 +420,8 @@ func main() {
 				rep.SpeedupCluster, *minSpeed, *shards, rep.Host.NumCPU)
 		}
 	}
-	// The batch and incremental gates hold on any host: both arms of each
+	// The incremental and warm gates hold on any host: both arms of each
 	// comparison run sequentially, so no CPU-count escape hatch.
-	if *minBatch > 0 && rep.SpeedupBatchRWR < *minBatch {
-		fatal("batched RWR speedup %.3fx over %d single calls below required %.3fx",
-			rep.SpeedupBatchRWR, *batchN, *minBatch)
-	}
-	if *minBatchPHP > 0 && rep.SpeedupBatchPHP < *minBatchPHP {
-		fatal("batched PHP speedup %.3fx over %d single calls below required %.3fx",
-			rep.SpeedupBatchPHP, *batchN, *minBatchPHP)
-	}
 	if *minIncr > 0 && rep.SpeedupIncremental < *minIncr {
 		fatal("incremental 1-of-%d-shards rebuild speedup %.3fx below required %.3fx",
 			*shards, rep.SpeedupIncremental, *minIncr)
@@ -652,9 +506,9 @@ func runScaleArm(name, code string, scale float64, shards, queries int, budget f
 	}
 	r.BuildMs = durMs(time.Since(start))
 
-	// Routed queries with a fixed iteration count (as in the batch section):
-	// deterministic per-query work, so QPS/p50/p99 measure the serving path,
-	// not convergence variance.
+	// Routed queries with a fixed iteration count: deterministic per-query
+	// work, so QPS/p50/p99 measure the serving path, not convergence
+	// variance.
 	qcfg := pegasus.RWRConfig{Eps: 1e-300, MaxIter: 6}
 	lat := make([]time.Duration, queries)
 	qstart := time.Now()

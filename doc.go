@@ -79,15 +79,18 @@
 //	curl -s -X POST localhost:8080/v1/query/batch \
 //	  -d '{"kind": "rwr", "nodes": [1, 2, 42], "restart": 0.1}'
 //
-// The server routes the vector in one pass, answers per-shard groups
-// concurrently, and amortizes the per-query precompute through a shared
-// evaluation session. The same amortization is available in-process:
+// The server routes the vector in one pass and answers per-shard groups
+// concurrently. Every query, single or batched, runs on its shard's query
+// session, which pays the per-artifact precompute (the weighted-degree
+// scan) once, when the shard is built or loaded. The same amortization is
+// available in-process; a session is safe for concurrent use:
 //
-//	scores, _ := pegasus.SummaryRWRBatch(s, []pegasus.NodeID{1, 2, 42}, pegasus.RWRConfig{})
-//	probs, _ := pegasus.SummaryPHPBatch(s, []pegasus.NodeID{1, 2, 42}, pegasus.PHPConfig{})
-//	sess := pegasus.NewSummaryQuerySession(s) // or drive a session directly
-//	a, _ := sess.RWR(1, pegasus.RWRConfig{})
-//	b, _ := sess.PHP(2, pegasus.PHPConfig{})
+//	sess := pegasus.NewSummaryQuerySession(s) // precompute paid here, once
+//	for _, q := range []pegasus.NodeID{1, 2, 42} {
+//		scores, _ := sess.RWR(q, pegasus.RWRConfig{})
+//		probs, _ := sess.PHP(q, pegasus.PHPConfig{})
+//		_, _ = scores, probs
+//	}
 //
 // # Incremental re-summarization
 //

@@ -52,10 +52,12 @@ func (m *Machine) Oracle() queries.Oracle {
 	return queries.GraphOracle{G: m.Subgraph}
 }
 
-// NewSession returns a query session over the machine's artifact, sharing
-// the per-query precompute (weighted degrees, self-loop weights) and
-// iteration scratch across the queries of a batch. Not safe for concurrent
-// use; create one per batch goroutine.
+// NewSession returns a query session over the machine's artifact — the
+// one place a machine picks between the summary and the subgraph
+// evaluators for RWR and PHP. The session computes the artifact's query
+// precompute (weighted degrees, self-loop weights) once and is safe for
+// concurrent use, so a server keeps one per machine for the artifact's
+// lifetime.
 func (m *Machine) NewSession() queries.Session {
 	if m.Summary != nil {
 		return queries.NewSummarySession(m.Summary)
@@ -63,12 +65,10 @@ func (m *Machine) NewSession() queries.Session {
 	return queries.NewSession(queries.GraphOracle{G: m.Subgraph})
 }
 
-// RWR answers a random-walk-with-restart query on the machine's artifact.
+// RWR answers a random-walk-with-restart query on the machine's artifact
+// through a one-shot session.
 func (m *Machine) RWR(q graph.NodeID, cfg queries.RWRConfig) ([]float64, error) {
-	if m.Summary != nil {
-		return queries.SummaryRWR(m.Summary, q, cfg)
-	}
-	return queries.GraphRWR(m.Subgraph, q, cfg)
+	return m.NewSession().RWR(q, cfg)
 }
 
 // HOP answers a shortest-path-length query on the machine's artifact.
@@ -80,12 +80,9 @@ func (m *Machine) HOP(q graph.NodeID) ([]int32, error) {
 }
 
 // PHP answers a penalized-hitting-probability query on the machine's
-// artifact.
+// artifact through a one-shot session.
 func (m *Machine) PHP(q graph.NodeID, cfg queries.PHPConfig) ([]float64, error) {
-	if m.Summary != nil {
-		return queries.SummaryPHP(m.Summary, q, cfg)
-	}
-	return queries.GraphPHP(m.Subgraph, q, cfg)
+	return m.NewSession().PHP(q, cfg)
 }
 
 // Cluster is a set of machines plus the node→machine routing table (the

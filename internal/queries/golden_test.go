@@ -1,0 +1,125 @@
+package queries
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"pegasus/internal/core"
+	"pegasus/internal/gen"
+	"pegasus/internal/graph"
+	"pegasus/internal/summary"
+)
+
+// goldenGraph is a BA graph with two isolated nodes (150, 151: dead ends
+// for RWR and PHP) and a 4-node path component (152–155) cut off from the
+// giant component.
+func goldenGraph() *graph.Graph {
+	b := graph.NewBuilder(156)
+	b.AddEdges(gen.BarabasiAlbert(150, 3, 17).EdgeList())
+	b.AddEdge(152, 153)
+	b.AddEdge(153, 154)
+	b.AddEdge(154, 155)
+	return b.Build()
+}
+
+// goldenFixture returns goldenGraph and a PeGaSus summary of it
+// personalized to ten targets at 40% of its size.
+func goldenFixture(t *testing.T) (*graph.Graph, *summary.Summary) {
+	t.Helper()
+	g := goldenGraph()
+	res, err := core.Summarize(g, core.Config{
+		Targets:     []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 150, 152},
+		BudgetRatio: 0.4,
+		Seed:        17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, res.Summary
+}
+
+// vectorsDigest hashes the exact bits of a sequence of answer vectors.
+func vectorsDigest(vs [][]float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range vs {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestQueryGoldens pins the exact answers of the RWR and PHP kernels, on
+// the input graph and on a PeGaSus summary of it, as SHA-256 digests over
+// the float64 bits of every answer vector. The query set covers a node
+// with no neighbors in the graph (a dead end for both evaluators) and a
+// node whose supernode has no superedges (a dead end on the summary only).
+// Any change to the kernels' arithmetic, iteration order or start vector
+// moves a digest. A refactor must leave every digest as it is; a change
+// that alters answers on purpose (a new start vector, say) updates them and
+// says why.
+func TestQueryGoldens(t *testing.T) {
+	g, s := goldenFixture(t)
+	qs := []graph.NodeID{0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 120, 144, 149, 150, 151, 152, 155}
+	if g.Degree(150) != 0 {
+		t.Fatal("node 150 must be isolated in the golden graph")
+	}
+	bare := noSuperedgeNode(g, s)
+	if bare < 0 {
+		t.Fatal("the golden summary has no non-isolated node whose supernode lacks superedges")
+	}
+	qs = append(qs, graph.NodeID(bare))
+
+	var gr, gp, sr, sp [][]float64
+	for _, q := range qs {
+		v, err := GraphRWR(g, q, RWRConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr = append(gr, v)
+		if v, err = GraphPHP(g, q, PHPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		gp = append(gp, v)
+		if v, err = SummaryRWR(s, q, RWRConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		sr = append(sr, v)
+		if v, err = SummaryPHP(s, q, PHPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		sp = append(sp, v)
+	}
+
+	for _, c := range []struct {
+		name string
+		vs   [][]float64
+		want string
+	}{
+		{"GraphRWR", gr, "66be4b85cec2aeee5e6af4a22d537d2604320aefbbc7c41dea1a4d52ca3f58c5"},
+		{"GraphPHP", gp, "0e19ac707c31412ed93ee0982430491b33c297a970b360e128bd22428a291194"},
+		{"SummaryRWR", sr, "a41a53c6ae8fe08e2bdb50fa5e26a7eb8ece5c9ab1844d6b5784ee9f08377231"},
+		{"SummaryPHP", sp, "a320c2b5a45e7f553c576dc26e3c22ebe6ec7d31fa6261dd022d465162ed12b4"},
+	} {
+		if got := vectorsDigest(c.vs); got != c.want {
+			t.Errorf("%s digest over %d queries (bare-supernode node %d) = %s, want %s",
+				c.name, len(qs), bare, got, c.want)
+		}
+	}
+}
+
+// noSuperedgeNode returns the lowest node that has neighbors in g but
+// whose supernode has no superedges in s, or -1 when there is none.
+func noSuperedgeNode(g *graph.Graph, s *summary.Summary) int {
+	for u := 0; u < g.NumNodes(); u++ {
+		if g.Degree(graph.NodeID(u)) > 0 && s.SuperDegree(s.Supernode(graph.NodeID(u))) == 0 {
+			return u
+		}
+	}
+	return -1
+}

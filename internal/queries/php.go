@@ -48,7 +48,7 @@ func GraphPHP(g *graph.Graph, q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 
 // SummaryPHP answers PHP on a summary graph with per-iteration cost
 // O(|V|+|P|), aggregating PHP mass per supernode (reconstructed adjacency is
-// block-constant, as in SummaryRWR). For many queries on one summary,
+// block-constant, as in SummaryRWR). For many queries on one summary, a
 // NewSummarySession shares the precompute across calls.
 func SummaryPHP(s *summary.Summary, q graph.NodeID, cfg PHPConfig) ([]float64, error) {
 	return NewSummarySession(s).PHP(q, cfg)

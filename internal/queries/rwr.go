@@ -38,8 +38,8 @@ func (c RWRConfig) withDefaults() RWRConfig {
 // to a (weight-proportional) random neighbor, otherwise it restarts at q.
 // Dead-end mass is redirected to q, keeping the vector stochastic. This is
 // the generic implementation of Alg. 6; use SummaryRWR for the
-// block-accelerated equivalent on summaries, and a Session (or RWRBatch)
-// to amortize the weighted-degree precompute over many queries.
+// block-accelerated equivalent on summaries, and a Session to amortize the
+// weighted-degree precompute over many queries.
 func RWR(o Oracle, q graph.NodeID, cfg RWRConfig) ([]float64, error) {
 	return NewSession(o).RWR(q, cfg)
 }
@@ -53,7 +53,7 @@ func GraphRWR(g *graph.Graph, q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 // SummaryRWR answers RWR on a summary graph without expanding reconstructed
 // neighborhoods: since the reconstructed adjacency is block-constant, the
 // transition aggregates per supernode, costing O(|V|+|P|) per iteration
-// instead of O(|Ê|). For many queries on one summary, NewSummarySession
+// instead of O(|Ê|). For many queries on one summary, a NewSummarySession
 // shares the precompute across calls.
 func SummaryRWR(s *summary.Summary, q graph.NodeID, cfg RWRConfig) ([]float64, error) {
 	return NewSummarySession(s).RWR(q, cfg)

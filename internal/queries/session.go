@@ -8,18 +8,19 @@ import (
 	"pegasus/internal/summary"
 )
 
-// Session answers repeated RWR and PHP queries over one artifact while
-// sharing the query-independent work across calls: the weighted-degree
-// vector (and, on summaries, the per-supernode self-loop weights) is
-// computed once on first use, and the iteration scratch buffers are reused
-// instead of reallocated per query. A batch of B queries therefore costs
-// one precompute scan plus B iteration runs, where the plain entry points
-// (RWR, SummaryRWR, ...) pay the scan B times — the amortization the
-// paper's multi-query serving workloads (§IV, §V) rely on.
+// Session answers RWR and PHP queries over one artifact. The
+// query-independent precompute — the weighted-degree vector and, on
+// summaries, the per-supernode self-loop weights, one O(|V|+|P|) scan — is
+// computed once, when the session is created, so a session built with its
+// artifact pays that scan once for every query the artifact ever answers:
+// the amortization the paper's multi-query serving workloads (§IV, §V) rely
+// on. The plain entry points (RWR, SummaryRWR, ...) build a throwaway
+// session per call.
 //
-// Each call returns a freshly allocated result vector, so results outlive
-// the session. Sessions are NOT safe for concurrent use; create one per
-// goroutine (they are cheap until first use).
+// A session is immutable after construction: each call allocates its own
+// iteration vectors and returns the last one, so results outlive the
+// session and one session is safe for concurrent use by any number of
+// goroutines.
 type Session interface {
 	// RWR answers random walk with restart w.r.t. q (Alg. 6).
 	RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error)
@@ -28,89 +29,54 @@ type Session interface {
 }
 
 // NewSession returns a Session over any Oracle, running the generic
-// (neighborhood-query) implementations of RWR and PHP.
-func NewSession(o Oracle) Session { return &oracleSession{o: o} }
-
-// NewSummarySession returns a Session over a summary graph, running the
-// block-accelerated implementations (O(|V|+|P|) per iteration).
-func NewSummarySession(s *summary.Summary) Session { return &summarySession{s: s} }
-
-// RWRBatch answers RWR for every node of qs through one shared Session.
-// Results are in qs order. The first failing node aborts the batch; callers
-// needing partial results should drive a Session directly.
-func RWRBatch(o Oracle, qs []graph.NodeID, cfg RWRConfig) ([][]float64, error) {
-	return rwrBatch(NewSession(o), qs, cfg)
-}
-
-// SummaryRWRBatch is RWRBatch over the block-accelerated summary evaluator.
-func SummaryRWRBatch(s *summary.Summary, qs []graph.NodeID, cfg RWRConfig) ([][]float64, error) {
-	return rwrBatch(NewSummarySession(s), qs, cfg)
-}
-
-func rwrBatch(sess Session, qs []graph.NodeID, cfg RWRConfig) ([][]float64, error) {
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		r, err := sess.RWR(q, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("queries: batch item %d (node %d): %w", i, q, err)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// PHPBatch answers PHP for every node of qs through one shared Session —
-// the same weighted-degree amortization as RWRBatch (PHP shares the
-// session precompute). Results are in qs order; the first failing node
-// aborts the batch.
-func PHPBatch(o Oracle, qs []graph.NodeID, cfg PHPConfig) ([][]float64, error) {
-	return phpBatch(NewSession(o), qs, cfg)
-}
-
-// SummaryPHPBatch is PHPBatch over the block-accelerated summary evaluator.
-func SummaryPHPBatch(s *summary.Summary, qs []graph.NodeID, cfg PHPConfig) ([][]float64, error) {
-	return phpBatch(NewSummarySession(s), qs, cfg)
-}
-
-func phpBatch(sess Session, qs []graph.NodeID, cfg PHPConfig) ([][]float64, error) {
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		r, err := sess.PHP(q, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("queries: batch item %d (node %d): %w", i, q, err)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// oracleSession runs the generic implementations with shared wdeg and
-// scratch. v1/v2 are the two |V|-sized iteration vectors; every query fully
-// (re)initializes the parts of them it reads.
-type oracleSession struct {
-	o      Oracle
-	wdeg   []float64
-	v1, v2 []float64
-}
-
-func (s *oracleSession) init() {
-	if s.wdeg != nil {
-		return
-	}
-	n := s.o.NumNodes()
-	s.wdeg = make([]float64, n)
+// (neighborhood-query) implementations of RWR and PHP. It computes the
+// weighted degrees with one pass over every neighborhood.
+func NewSession(o Oracle) Session {
+	n := o.NumNodes()
+	wdeg := make([]float64, n)
 	for u := 0; u < n; u++ {
-		s.o.ForEachNeighbor(graph.NodeID(u), func(_ graph.NodeID, w float64) {
-			s.wdeg[u] += w
+		o.ForEachNeighbor(graph.NodeID(u), func(_ graph.NodeID, w float64) {
+			wdeg[u] += w
 		})
 	}
-	s.v1 = make([]float64, n)
-	s.v2 = make([]float64, n)
+	return &oracleSession{o: o, wdeg: wdeg}
+}
+
+// NewSummarySession returns a Session over a summary graph, running the
+// block-accelerated implementations (O(|V|+|P|) per iteration). It computes
+// the weighted degrees and self-loop weights with one pass over the
+// superedges.
+func NewSummarySession(s *summary.Summary) Session {
+	n := s.NumNodes()
+	ns := s.NumSupernodes()
+	ss := &summarySession{s: s, wdeg: make([]float64, n), selfW: make([]float64, ns)}
+	for a := 0; a < ns; a++ {
+		var aw float64
+		s.ForEachSuperNeighbor(uint32(a), func(b uint32, w float64) {
+			cnt := len(s.Members(b))
+			if b == uint32(a) {
+				ss.selfW[a] = w
+				cnt-- // a member is not its own neighbor
+			}
+			aw += w * float64(cnt)
+		})
+		for _, u := range s.Members(uint32(a)) {
+			ss.wdeg[u] = aw
+		}
+	}
+	return ss
+}
+
+// oracleSession runs the generic implementations over the weighted degrees
+// computed by NewSession; it is never written after construction.
+type oracleSession struct {
+	o    Oracle
+	wdeg []float64
 }
 
 // RWR answers random walk with restart over the generic oracle. The
 // neighbor callback is hoisted out of the iteration loops: allocating a
-// closure per node per iteration was measurable GC pressure at batch-query
+// closure per node per iteration was measurable GC pressure at serving
 // rates (it captures share/next by reference, so the vector swap below
 // still works).
 //
@@ -121,17 +87,17 @@ func (s *oracleSession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) {
 	if int(q) >= n {
 		return nil, fmt.Errorf("queries: query node %d out of range (|V|=%d)", q, n)
 	}
-	s.init()
+	// The iteration vectors are this call's own, allocated before the span
+	// starts so that it times the iterations alone.
+	r, next := make([]float64, n), make([]float64, n)
 	// The session-evaluation span: a no-op unless the caller attached a
 	// trace to cfg.Ctx (the serving layer does per request).
 	iters := 0
 	_, sp := obs.StartSpan(cfg.Ctx, "session.rwr")
 	defer func() { sp.AttrInt("nodes", n); sp.AttrInt("iterations", iters); sp.End() }()
 	c := 1 - cfg.Restart
-	// Hot-loop locals re-sliced to n so the compiler can elide bounds
-	// checks exactly as it did when these were freshly made slices.
+	// Re-sliced to n so the compiler can elide bounds checks.
 	wdeg := s.wdeg[:n]
-	r, next := s.v1[:n], s.v2[:n]
 	var share float64
 	spread := func(v graph.NodeID, w float64) {
 		next[v] += share * w
@@ -176,9 +142,7 @@ func (s *oracleSession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) {
 			break
 		}
 	}
-	out := make([]float64, n)
-	copy(out, r)
-	return out, nil
+	return r, nil
 }
 
 // PHP answers penalized hitting probability over the generic oracle; the
@@ -192,21 +156,18 @@ func (s *oracleSession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) {
 	if int(q) >= n {
 		return nil, fmt.Errorf("queries: query node %d out of range (|V|=%d)", q, n)
 	}
-	s.init()
+	// Every iteration writes all of next, so only p needs initializing.
+	p, next := make([]float64, n), make([]float64, n)
+	p[q] = 1
 	iters := 0
 	_, sp := obs.StartSpan(cfg.Ctx, "session.php")
 	defer func() { sp.AttrInt("nodes", n); sp.AttrInt("iterations", iters); sp.End() }()
-	// Hot-loop locals re-sliced to n for bounds-check elimination.
+	// Re-sliced to n for bounds-check elimination.
 	wdeg := s.wdeg[:n]
-	p, next := s.v1[:n], s.v2[:n]
 	var sum float64
 	accum := func(v graph.NodeID, w float64) {
 		sum += w * p[v]
 	}
-	for i := range p {
-		p[i] = 0
-	}
-	p[q] = 1
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return nil, err
@@ -236,50 +197,15 @@ func (s *oracleSession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) {
 			break
 		}
 	}
-	out := make([]float64, n)
-	copy(out, p)
-	return out, nil
+	return p, nil
 }
 
-// summarySession runs the block-accelerated implementations with shared
-// precompute. wdeg/selfW depend only on the summary (not on the query node
-// or parameters), so they are computed exactly once per session. v1/v2 are
-// |V|-sized iteration vectors, s1/s2 the per-supernode aggregates (the
-// mass/sum and in-flow vectors); every query fully (re)initializes what it
-// reads.
+// summarySession runs the block-accelerated implementations over the
+// weighted degrees and self-loop weights computed by NewSummarySession; it
+// is never written after construction.
 type summarySession struct {
 	s           *summary.Summary
 	wdeg, selfW []float64
-	v1, v2      []float64
-	s1, s2      []float64
-}
-
-func (ss *summarySession) init() {
-	if ss.wdeg != nil {
-		return
-	}
-	n := ss.s.NumNodes()
-	ns := ss.s.NumSupernodes()
-	ss.wdeg = make([]float64, n)
-	ss.selfW = make([]float64, ns)
-	for a := 0; a < ns; a++ {
-		var aw float64
-		ss.s.ForEachSuperNeighbor(uint32(a), func(b uint32, w float64) {
-			cnt := len(ss.s.Members(b))
-			if b == uint32(a) {
-				ss.selfW[a] = w
-				cnt-- // a member is not its own neighbor
-			}
-			aw += w * float64(cnt)
-		})
-		for _, u := range ss.s.Members(uint32(a)) {
-			ss.wdeg[u] = aw
-		}
-	}
-	ss.v1 = make([]float64, n)
-	ss.v2 = make([]float64, n)
-	ss.s1 = make([]float64, ns)
-	ss.s2 = make([]float64, ns)
 }
 
 // RWR is the block-accelerated random walk with restart. The
@@ -295,18 +221,18 @@ func (ss *summarySession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 	if int(q) >= n {
 		return nil, fmt.Errorf("queries: query node %d out of range (|V|=%d)", q, n)
 	}
-	ss.init()
+	ns := s.NumSupernodes()
+	// This call's own vectors, allocated before the span as in the oracle
+	// session.
+	r, next := make([]float64, n), make([]float64, n)
+	mass := make([]float64, ns)    // Σ_{u∈A} r[u]/wdeg[u]
+	superIn := make([]float64, ns) // Σ_{B adj A} w_AB · mass_B
 	iters := 0
 	_, sp := obs.StartSpan(cfg.Ctx, "session.rwr")
 	defer func() { sp.AttrInt("nodes", n); sp.AttrInt("iterations", iters); sp.End() }()
 	c := 1 - cfg.Restart
-	ns := s.NumSupernodes()
-	// Hot-loop locals re-sliced to their lengths so the compiler can elide
-	// bounds checks exactly as it did when these were freshly made slices.
+	// Re-sliced to their lengths so the compiler can elide bounds checks.
 	wdeg, selfW := ss.wdeg[:n], ss.selfW[:ns]
-	r, next := ss.v1[:n], ss.v2[:n]
-	mass := ss.s1[:ns]    // Σ_{u∈A} r[u]/wdeg[u]
-	superIn := ss.s2[:ns] // Σ_{B adj A} w_AB · mass_B
 	var cur int
 	inflow := func(b uint32, w float64) {
 		superIn[cur] += w * mass[b]
@@ -358,9 +284,7 @@ func (ss *summarySession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 			break
 		}
 	}
-	out := make([]float64, n)
-	copy(out, r)
-	return out, nil
+	return r, nil
 }
 
 // PHP is the block-accelerated penalized hitting probability; the
@@ -374,25 +298,22 @@ func (ss *summarySession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 	if int(q) >= n {
 		return nil, fmt.Errorf("queries: query node %d out of range (|V|=%d)", q, n)
 	}
-	ss.init()
+	ns := s.NumSupernodes()
+	// This call's own vectors, allocated before the span; every iteration
+	// writes all of next, so only p needs initializing.
+	p, next := make([]float64, n), make([]float64, n)
+	p[q] = 1
+	sumPHP := make([]float64, ns)  // Σ_{v∈A} p[v]
+	superIn := make([]float64, ns) // Σ_{B adj A} w_AB · sumPHP_B
 	iters := 0
 	_, sp := obs.StartSpan(cfg.Ctx, "session.php")
 	defer func() { sp.AttrInt("nodes", n); sp.AttrInt("iterations", iters); sp.End() }()
-	ns := s.NumSupernodes()
-	// Hot-loop locals re-sliced to their lengths for bounds-check
-	// elimination.
+	// Re-sliced to their lengths for bounds-check elimination.
 	wdeg, selfW := ss.wdeg[:n], ss.selfW[:ns]
-	p, next := ss.v1[:n], ss.v2[:n]
-	sumPHP := ss.s1[:ns]  // Σ_{v∈A} p[v]
-	superIn := ss.s2[:ns] // Σ_{B adj A} w_AB · sumPHP_B
 	var cur int
 	inflow := func(b uint32, w float64) {
 		superIn[cur] += w * sumPHP[b]
 	}
-	for i := range p {
-		p[i] = 0
-	}
-	p[q] = 1
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return nil, err
@@ -432,7 +353,5 @@ func (ss *summarySession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 			break
 		}
 	}
-	out := make([]float64, n)
-	copy(out, p)
-	return out, nil
+	return p, nil
 }

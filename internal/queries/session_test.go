@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"pegasus/internal/gen"
@@ -19,8 +21,8 @@ func sessionTestGraph(t *testing.T) (*graph.Graph, *summary.Summary) {
 
 // TestSessionMatchesPlainCalls: a session answering many queries back to
 // back must return exactly (bit-identical, not approximately) what the
-// plain one-shot entry points return — scratch reuse must not leak state
-// between queries, and the shared wdeg precompute must not change results.
+// plain one-shot entry points return — no call may leak state into the
+// next, and the shared wdeg precompute must not change results.
 func TestSessionMatchesPlainCalls(t *testing.T) {
 	g, s := sessionTestGraph(t)
 	o := GraphOracle{g}
@@ -40,8 +42,8 @@ func TestSessionMatchesPlainCalls(t *testing.T) {
 		}
 		assertExactEqual(t, "oracle RWR", q, gotR, wantR)
 
-		// Interleave PHP on the same session: the buffers are shared across
-		// the two query types, so this exercises cross-query contamination.
+		// Interleave PHP on the same session, which shares its precompute
+		// across the two query types.
 		gotP, err := oSess.PHP(q, pcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -109,33 +111,136 @@ func TestSessionResultsOutliveSession(t *testing.T) {
 	}
 }
 
+// TestRWRBatchMatchesSingles: a batch of RWR queries answered by a loop
+// over one session — the pattern that replaced the batch-only entry points —
+// must return, once the whole batch is collected, exactly what the one-shot
+// entry points return on both evaluators, repeats included.
 func TestRWRBatchMatchesSingles(t *testing.T) {
 	g, s := sessionTestGraph(t)
 	qs := []graph.NodeID{5, 0, 5, 60, 119}
 	cfg := RWRConfig{Eps: 1e-12, MaxIter: 20}
 
-	got, err := RWRBatch(GraphOracle{g}, qs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := answerBatch(t, NewSession(GraphOracle{g}).RWR, qs, cfg)
 	for i, q := range qs {
 		want, err := RWR(GraphOracle{g}, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactEqual(t, "RWRBatch", q, got[i], want)
+		assertExactEqual(t, "oracle RWR batch", q, got[i], want)
 	}
 
-	gotS, err := SummaryRWRBatch(s, qs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotS := answerBatch(t, NewSummarySession(s).RWR, qs, cfg)
 	for i, q := range qs {
 		want, err := SummaryRWR(s, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactEqual(t, "SummaryRWRBatch", q, gotS[i], want)
+		assertExactEqual(t, "summary RWR batch", q, gotS[i], want)
+	}
+}
+
+// TestPHPBatchMatchesSingleCalls: the PHP counterpart of
+// TestRWRBatchMatchesSingles, on both evaluators.
+func TestPHPBatchMatchesSingleCalls(t *testing.T) {
+	g, s := sessionTestGraph(t)
+	o := GraphOracle{g}
+	qs := []graph.NodeID{0, 7, 7, 31, 119}
+	cfg := PHPConfig{}
+
+	got := answerBatch(t, NewSession(o).PHP, qs, cfg)
+	for i, q := range qs {
+		want, err := PHP(o, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertExactEqual(t, "oracle PHP batch", q, got[i], want)
+	}
+
+	gotS := answerBatch(t, NewSummarySession(s).PHP, qs, cfg)
+	for i, q := range qs {
+		want, err := SummaryPHP(s, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertExactEqual(t, "summary PHP batch", q, gotS[i], want)
+	}
+}
+
+// answerBatch answers qs in order with one session method and returns every
+// result, so the caller compares each answer only after the later ones ran.
+func answerBatch[C any](t *testing.T, query func(graph.NodeID, C) ([]float64, error), qs []graph.NodeID, cfg C) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(qs))
+	for i, q := range qs {
+		var err error
+		if out[i], err = query(q, cfg); err != nil {
+			t.Fatalf("batch item %d (node %d): %v", i, q, err)
+		}
+	}
+	return out
+}
+
+// TestSessionSharedAcrossGoroutines: one session per evaluator, shared by
+// 8 goroutines that interleave RWR and PHP queries, must answer every query
+// bit-identically to a one-shot call. Sessions hold only per-artifact
+// precompute and allocate their iteration vectors per call, so under -race
+// this is also the data-race check of a session shared by concurrent
+// requests (the serving layer keeps one per shard).
+func TestSessionSharedAcrossGoroutines(t *testing.T) {
+	g, s := goldenFixture(t)
+	qs := []graph.NodeID{0, 3, 57, 89, 150, 152}
+	for _, ev := range []struct {
+		name string
+		sess Session
+		rwr  func(graph.NodeID) ([]float64, error)
+		php  func(graph.NodeID) ([]float64, error)
+	}{
+		{"graph", NewSession(GraphOracle{g}),
+			func(q graph.NodeID) ([]float64, error) { return GraphRWR(g, q, RWRConfig{}) },
+			func(q graph.NodeID) ([]float64, error) { return GraphPHP(g, q, PHPConfig{}) }},
+		{"summary", NewSummarySession(s),
+			func(q graph.NodeID) ([]float64, error) { return SummaryRWR(s, q, RWRConfig{}) },
+			func(q graph.NodeID) ([]float64, error) { return SummaryPHP(s, q, PHPConfig{}) }},
+	} {
+		wantR := make([][]float64, len(qs))
+		wantP := make([][]float64, len(qs))
+		for i, q := range qs {
+			var err error
+			if wantR[i], err = ev.rwr(q); err != nil {
+				t.Fatal(err)
+			}
+			if wantP[i], err = ev.php(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k < 2*len(qs); k++ {
+					i := (w + k) % len(qs)
+					got, want, kind := []float64(nil), wantR[i], "RWR"
+					var err error
+					if (w+k)%2 == 0 {
+						got, err = ev.sess.RWR(qs[i], RWRConfig{})
+					} else {
+						got, err = ev.sess.PHP(qs[i], PHPConfig{})
+						want, kind = wantP[i], "PHP"
+					}
+					if err != nil {
+						t.Errorf("%s %s q=%d: %v", ev.name, kind, qs[i], err)
+						return
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s %s q=%d on goroutine %d: shared session diverged from the one-shot call",
+							ev.name, kind, qs[i], w)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }
 
@@ -146,8 +251,5 @@ func TestSessionOutOfRange(t *testing.T) {
 	}
 	if _, err := NewSummarySession(s).PHP(graph.NodeID(g.NumNodes()), PHPConfig{}); err == nil {
 		t.Error("summary session accepted an out-of-range query node")
-	}
-	if _, err := RWRBatch(GraphOracle{g}, []graph.NodeID{1, graph.NodeID(g.NumNodes())}, RWRConfig{}); err == nil {
-		t.Error("RWRBatch accepted an out-of-range query node")
 	}
 }

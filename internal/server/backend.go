@@ -13,104 +13,45 @@ import (
 	"pegasus/internal/summary"
 )
 
-// backend answers queries against the serving artifact: either one
-// personalized summary (single-shard) or a distributed.Cluster whose routing
-// table sends each query node to the machine owning it (§IV). Backends are
-// immutable after construction; POST /v1/summarize builds a replacement and
-// the server swaps the pointer.
-type backend interface {
-	numNodes() int
-	numShards() int
-	// shard returns the shard owning query node q (always 0 when unsharded).
-	shard(q graph.NodeID) (int, error)
-	// reports describes each shard's summary artifact.
-	reports() []summary.Report
-	// session returns a query session over the given shard's artifact. A
-	// session shares the RWR/PHP precompute (weighted degrees) and iteration
-	// scratch across calls — the amortization the batch endpoint exploits —
-	// and is NOT safe for concurrent use; callers create one per goroutine
-	// (cheap until first use).
-	session(shard int) (queries.Session, error)
-	hop(q graph.NodeID) ([]int32, error)
-	// pagerank runs over the artifact of the given shard.
-	pagerank(shard int, cfg queries.PageRankConfig) ([]float64, error)
-}
-
-// summaryBackend serves every query from one summary graph.
-type summaryBackend struct {
-	s *summary.Summary
-}
-
-func (b *summaryBackend) numNodes() int             { return b.s.NumNodes() }
-func (b *summaryBackend) numShards() int            { return 1 }
-func (b *summaryBackend) reports() []summary.Report { return []summary.Report{b.s.Describe()} }
-
-func (b *summaryBackend) shard(q graph.NodeID) (int, error) {
-	if int(q) >= b.s.NumNodes() {
-		return 0, fmt.Errorf("server: query node %d out of range (|V|=%d)", q, b.s.NumNodes())
-	}
-	return 0, nil
-}
-
-func (b *summaryBackend) session(int) (queries.Session, error) {
-	return queries.NewSummarySession(b.s), nil
-}
-
-func (b *summaryBackend) hop(q graph.NodeID) ([]int32, error) {
-	return queries.SummaryHOP(b.s, q)
-}
-
-func (b *summaryBackend) pagerank(_ int, cfg queries.PageRankConfig) ([]float64, error) {
-	return pageRankChecked(queries.SummaryOracle{S: b.s}, cfg)
-}
-
-// clusterBackend routes each query to the machine owning the query node and
-// answers it there — the communication-free serving scheme of §IV.
-type clusterBackend struct {
+// backend answers queries against the serving artifact: a
+// distributed.Cluster whose routing table sends each query node to the
+// machine owning it (§IV) — an unsharded server is a 1-machine cluster —
+// plus one query session per machine, made when the backend is built,
+// loaded or transplanted. Backends are immutable after construction; POST
+// /v1/summarize builds a replacement and the server swaps the pointer.
+type backend struct {
 	c *distributed.Cluster
+	// sessions[i] answers RWR and PHP on machine i. It holds the
+	// artifact's query precompute (weighted degrees, self-loop weights),
+	// paid once here instead of once per request, and is safe for
+	// concurrent use.
+	sessions []queries.Session
 }
 
-func (b *clusterBackend) numNodes() int  { return len(b.c.Assign) }
-func (b *clusterBackend) numShards() int { return len(b.c.Machines) }
-
-func (b *clusterBackend) shard(q graph.NodeID) (int, error) {
-	i, err := b.c.Route(q)
-	if err != nil {
-		return 0, err
+func newBackend(c *distributed.Cluster) *backend {
+	sessions := make([]queries.Session, len(c.Machines))
+	for i, m := range c.Machines {
+		sessions[i] = m.NewSession()
 	}
-	return int(i), nil
+	return &backend{c: c, sessions: sessions}
 }
 
-func (b *clusterBackend) reports() []summary.Report {
+func (b *backend) numNodes() int  { return len(b.c.Assign) }
+func (b *backend) numShards() int { return len(b.c.Machines) }
+
+// shard returns the shard owning query node q (always 0 when unsharded).
+func (b *backend) shard(q graph.NodeID) (int, error) {
+	i, err := b.c.Route(q)
+	return int(i), err
+}
+
+// reports describes each shard's summary artifact.
+func (b *backend) reports() []summary.Report {
 	out := make([]summary.Report, len(b.c.Machines))
 	for i, m := range b.c.Machines {
-		if m.Summary != nil {
-			out[i] = m.Summary.Describe()
-		}
+		out[i] = m.Summary.Describe()
 	}
 	return out
-}
-
-func (b *clusterBackend) session(shard int) (queries.Session, error) {
-	if shard < 0 || shard >= len(b.c.Machines) {
-		return nil, fmt.Errorf("server: shard %d out of range (m=%d)", shard, len(b.c.Machines))
-	}
-	return b.c.Machines[shard].NewSession(), nil
-}
-
-func (b *clusterBackend) hop(q graph.NodeID) ([]int32, error) {
-	m, err := b.c.RouteMachine(q)
-	if err != nil {
-		return nil, err
-	}
-	return m.HOP(q)
-}
-
-func (b *clusterBackend) pagerank(shard int, cfg queries.PageRankConfig) ([]float64, error) {
-	if shard < 0 || shard >= len(b.c.Machines) {
-		return nil, fmt.Errorf("server: shard %d out of range (m=%d)", shard, len(b.c.Machines))
-	}
-	return pageRankChecked(b.c.Machines[shard].Oracle(), cfg)
 }
 
 // pageRankChecked runs PageRank and surfaces a context cancellation as an
@@ -143,7 +84,7 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 // cache dir builds nothing. Returned alongside the backend: the per-shard
 // keys and the rebuilt/reused/loaded stats. graphToken is the cached
 // distributed.GraphToken of g.
-func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (backend, []string, distributed.BuildStats, error) {
+func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (*backend, []string, distributed.BuildStats, error) {
 	budgetBits := cfg.BudgetRatio * g.SizeBits()
 	if cfg.Shards <= 1 {
 		return buildSingle(ctx, g, cfg, budgetBits, graphToken, prev, store)
@@ -169,9 +110,7 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 	cfgKey, _ := base.ContentKey() // server configs never set Threshold, but stay safe
 	var prevCluster *distributed.Cluster
 	if prev != nil {
-		if cb, ok := prev.be.(*clusterBackend); ok {
-			prevCluster = cb.c
-		}
+		prevCluster = prev.be.c
 	}
 	c, stats, err := distributed.BuildSummaryClusterCtx(ctx, g, labels, cfg.Shards, budgetBits,
 		distributed.PegasusSummarizer(base), distributed.BuildOpts{
@@ -185,13 +124,14 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("server: build cluster: %w", err)
 	}
-	return &clusterBackend{c: c}, c.Keys, stats, nil
+	return newBackend(c), c.Keys, stats, nil
 }
 
-// buildSingle is the unsharded arm of buildBackend: one summary, treated as
-// a 1-shard cluster for content-key purposes so no-op rebuilds reuse it and
-// a configured store can warm-start it from disk.
-func buildSingle(ctx context.Context, g *graph.Graph, cfg Config, budgetBits float64, graphToken string, prev *backendBox, store *persist.Store) (backend, []string, distributed.BuildStats, error) {
+// buildSingle is the unsharded arm of buildBackend: one summary
+// personalized to cfg.Targets, served as a 1-machine cluster and keyed as
+// one shard so no-op rebuilds reuse it and a configured store can
+// warm-start it from disk.
+func buildSingle(ctx context.Context, g *graph.Graph, cfg Config, budgetBits float64, graphToken string, prev *backendBox, store *persist.Store) (*backend, []string, distributed.BuildStats, error) {
 	ccfg := core.Config{
 		Targets:    cfg.Targets,
 		Alpha:      cfg.Alpha,
@@ -204,17 +144,15 @@ func buildSingle(ctx context.Context, g *graph.Graph, cfg Config, budgetBits flo
 	if ck, ok := ccfg.ContentKey(); ok {
 		keys = []string{distributed.ShardKey(graphToken, cfg.Targets, budgetBits, ck)}
 		if prev != nil && len(prev.keys) == 1 && prev.keys[0] == keys[0] {
-			if sb, ok := prev.be.(*summaryBackend); ok {
-				stats.Reused = 1
-				stats.ReusedShards[0] = true
-				return sb, keys, stats, nil
-			}
+			stats.Reused = 1
+			stats.ReusedShards[0] = true
+			return prev.be, keys, stats, nil
 		}
 		if store != nil {
 			if a, ok, _ := store.Get(keys[0]); ok && a.Summary != nil && a.Summary.NumNodes() == g.NumNodes() {
 				stats.Loaded = 1
 				stats.LoadedShards[0] = true
-				return &summaryBackend{s: a.Summary}, keys, stats, nil
+				return singleBackend(a.Summary), keys, stats, nil
 			}
 		}
 	}
@@ -226,5 +164,14 @@ func buildSingle(ctx context.Context, g *graph.Graph, cfg Config, budgetBits flo
 	if store != nil && len(keys) == 1 {
 		_ = store.Put(keys[0], persist.Artifact{Summary: res.Summary}) // best-effort; store counts failures
 	}
-	return &summaryBackend{s: res.Summary}, keys, stats, nil
+	return singleBackend(res.Summary), keys, stats, nil
+}
+
+// singleBackend serves one summary as a 1-machine cluster: every node
+// routes to machine 0.
+func singleBackend(s *summary.Summary) *backend {
+	return newBackend(&distributed.Cluster{
+		Assign:   make([]uint32, s.NumNodes()),
+		Machines: []*distributed.Machine{{Summary: s}},
+	})
 }

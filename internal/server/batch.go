@@ -9,7 +9,6 @@ import (
 
 	"pegasus/internal/graph"
 	"pegasus/internal/obs"
-	"pegasus/internal/queries"
 )
 
 // BatchRequest is the JSON body of POST /v1/query/batch: one query kind,
@@ -65,12 +64,11 @@ type BatchResponse struct {
 
 // handleBatch answers POST /v1/query/batch. One backend generation is
 // snapshotted for the whole batch, the nodes are routed and grouped by
-// shard in a single pass, and each shard group runs on its own goroutine
-// with a small pool of query sessions, so the per-query precompute (the
-// RWR/PHP weighted-degree scan) is paid once per (session, batch) instead
-// of once per node while cache misses within one group still compute
-// concurrently. Individual computations go through the per-item cache with
-// singleflight dedup and the bounded worker pool.
+// shard in a single pass, and each shard group runs on its own goroutine,
+// answering through the shard's one query session (its RWR/PHP precompute
+// was paid when the backend was built) while cache misses within one group
+// still compute concurrently. Individual computations go through the
+// per-item cache with singleflight dedup and the bounded worker pool.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !s.decode(w, r, &req) {
@@ -158,46 +156,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runShardGroup answers one shard's slice of a batch with a per-group
-// session pool of min(len(idxs), Pool.Size()) workers. Sessions are not
-// safe for concurrent use, so every worker drives its own (cheap until
-// first use) and pulls items off a shared atomic cursor; previously one
-// session processed the whole group sequentially, which serialized a
-// single-shard batch of all cache misses no matter how many worker-pool
-// slots were free. Capping the session count at the pool size keeps a
-// group from holding more sessions than computations the pool can admit.
-// Each item still takes its own cache/singleflight lookup, and every
-// computation acquires the bounded worker pool inside its compute closure,
-// so a large batch cannot exceed the pool any more than single queries
-// can. Item results land in disjoint items[i] slots, so neither the
-// group's workers nor concurrent groups contend.
+// runShardGroup answers one shard's slice of a batch on
+// min(len(idxs), Pool.Size()) workers that pull items off a shared atomic
+// cursor, so a single-shard batch of cache misses computes concurrently up
+// to the pool bound rather than sequentially; more workers than pool slots
+// would only queue. All workers answer through the shard's one session,
+// which is safe for concurrent use. Each item still takes its own
+// cache/singleflight lookup, and every computation acquires the bounded
+// worker pool inside its compute closure, so a large batch cannot exceed
+// the pool any more than single queries can. Item results land in disjoint
+// items[i] slots, so neither the group's workers nor concurrent groups
+// contend.
 func (s *Server) runShardGroup(ctx context.Context, box *backendBox, kind, metric string, p queryParams, shard int, idxs []int, items []BatchItem) {
-	workers := len(idxs)
-	if n := s.pool.Size(); workers > n {
-		workers = n
-	}
-	// Sessions are created up front: session() fails only for an unroutable
-	// shard, which fails every item of the group — the pre-pool semantics.
-	sessions := make([]queries.Session, workers)
-	for w := range sessions {
-		sess, err := box.be.session(shard)
-		if err != nil {
-			for _, i := range idxs {
-				items[i].Error = err.Error()
-			}
-			return
-		}
-		sessions[w] = sess
-	}
+	workers := min(len(idxs), s.pool.Size())
 	var next atomic.Int64
-	run := func(sess queries.Session) {
+	run := func() {
 		for {
 			k := int(next.Add(1)) - 1
 			if k >= len(idxs) {
 				return
 			}
 			it := &items[idxs[k]]
-			key, compute := s.plan(box, sess, kind, metric, graph.NodeID(it.Node), shard, p)
+			key, compute := s.plan(box, kind, metric, graph.NodeID(it.Node), shard, p)
 			val, status, err := s.cache.GetOrCompute(ctx, key, func() (any, error) { return compute(ctx) })
 			if err != nil {
 				it.Error = queryErrorString(err)
@@ -209,13 +189,13 @@ func (s *Server) runShardGroup(ctx context.Context, box *backendBox, kind, metri
 		}
 	}
 	var wg sync.WaitGroup
-	for _, sess := range sessions[1:] {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(sess queries.Session) {
+		go func() {
 			defer wg.Done()
-			run(sess)
-		}(sess)
+			run()
+		}()
 	}
-	run(sessions[0])
+	run()
 	wg.Wait()
 }

@@ -24,13 +24,13 @@ import (
 func TestBatchRWRMatchesSingles(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	cb := s.current().be.(*clusterBackend)
+	be := s.current().be
 
 	// Pick two nodes per shard so the batch exercises grouping.
 	var nodes []uint32
 	perShard := map[int]int{}
-	for q := 0; q < len(cb.c.Assign) && len(nodes) < 2*cb.numShards(); q++ {
-		sh := int(cb.c.Assign[q])
+	for q := 0; q < len(be.c.Assign) && len(nodes) < 2*be.numShards(); q++ {
+		sh := int(be.c.Assign[q])
 		if perShard[sh] < 2 {
 			perShard[sh]++
 			nodes = append(nodes, uint32(q))
@@ -46,8 +46,8 @@ func TestBatchRWRMatchesSingles(t *testing.T) {
 	if resp.Kind != "rwr" || len(resp.Items) != len(nodes) {
 		t.Fatalf("response kind %q with %d items, want rwr with %d", resp.Kind, len(resp.Items), len(nodes))
 	}
-	if resp.ShardGroups != cb.numShards() {
-		t.Errorf("shard_groups = %d, want %d", resp.ShardGroups, cb.numShards())
+	if resp.ShardGroups != be.numShards() {
+		t.Errorf("shard_groups = %d, want %d", resp.ShardGroups, be.numShards())
 	}
 	for i, it := range resp.Items {
 		if it.Node != nodes[i] {
@@ -56,10 +56,10 @@ func TestBatchRWRMatchesSingles(t *testing.T) {
 		if it.Error != "" {
 			t.Fatalf("item %d (node %d) failed: %s", i, it.Node, it.Error)
 		}
-		if it.Shard != int(cb.c.Assign[it.Node]) {
-			t.Errorf("item %d routed to shard %d, want %d", i, it.Shard, cb.c.Assign[it.Node])
+		if it.Shard != int(be.c.Assign[it.Node]) {
+			t.Errorf("item %d routed to shard %d, want %d", i, it.Shard, be.c.Assign[it.Node])
 		}
-		want, err := queries.SummaryRWR(cb.c.Machines[it.Shard].Summary, graph.NodeID(it.Node), queries.RWRConfig{})
+		want, err := queries.SummaryRWR(be.c.Machines[it.Shard].Summary, graph.NodeID(it.Node), queries.RWRConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,10 +208,10 @@ func TestBatchKinds(t *testing.T) {
 	// The server is shared (and -count repeats this test), so empty its
 	// cache first.
 	s.cache.Purge()
-	cb := s.current().be.(*clusterBackend)
+	be := s.current().be
 	var pair []uint32
-	for q := 0; q < len(cb.c.Assign) && len(pair) < 2; q++ {
-		if cb.c.Assign[q] == 0 {
+	for q := 0; q < len(be.c.Assign) && len(pair) < 2; q++ {
+		if be.c.Assign[q] == 0 {
 			pair = append(pair, uint32(q))
 		}
 	}
@@ -424,15 +424,15 @@ func TestBatchTimeoutBudget(t *testing.T) {
 	}
 }
 
-// TestBatchSingleShardSessionPool covers the pooled-session path: a
-// single-shard batch of cache misses used to run sequentially through one
-// queries.Session; now the shard group fans out over a session pool
-// bounded by the worker pool. With the cache disabled every item
-// recomputes on its own session concurrently — the -race CI passes make
-// this the data-race check — and the pooled answers must stay bit-identical
-// to a sequential (Workers: 1) server's and to the reference computation
-// on the underlying summary.
-func TestBatchSingleShardSessionPool(t *testing.T) {
+// TestBatchSingleShardSharedSession covers the concurrent single-shard
+// batch: the shard group fans out over as many workers as the worker pool
+// admits, and all of them answer through the shard's one query session.
+// With the cache disabled every item recomputes, concurrently on the
+// pooled server — the -race CI passes make this the data-race check of the
+// shared session — and the pooled answers must stay bit-identical to a
+// sequential (Workers: 1) server's and to the reference computation on the
+// underlying summary.
+func TestBatchSingleShardSharedSession(t *testing.T) {
 	g := testGraph()
 	build := func(workers int) *Server {
 		t.Helper()
@@ -467,13 +467,13 @@ func TestBatchSingleShardSessionPool(t *testing.T) {
 	if rp.ShardGroups != 1 || rs.ShardGroups != 1 {
 		t.Fatalf("shard_groups = %d/%d, want 1 (single-shard backend)", rp.ShardGroups, rs.ShardGroups)
 	}
-	sb := pooled.current().be.(*summaryBackend)
+	sum := pooled.current().be.c.Machines[0].Summary
 	for i := range rp.Items {
 		a, b := rp.Items[i], rs.Items[i]
 		if a.Error != "" || b.Error != "" {
 			t.Fatalf("item %d failed: pooled=%q sequential=%q", i, a.Error, b.Error)
 		}
-		want, err := queries.SummaryRWR(sb.s, graph.NodeID(a.Node), queries.RWRConfig{})
+		want, err := queries.SummaryRWR(sum, graph.NodeID(a.Node), queries.RWRConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestBatchSingleShardSessionPool(t *testing.T) {
 		}
 		for j := range a.Scores {
 			if a.Scores[j] != b.Scores[j] || a.Scores[j] != want[j] {
-				t.Fatalf("item %d score[%d]: pooled %g, sequential %g, reference %g — pooled sessions must not perturb answers",
+				t.Fatalf("item %d score[%d]: pooled %g, sequential %g, reference %g — sharing the session must not perturb answers",
 					i, j, a.Scores[j], b.Scores[j], want[j])
 			}
 		}

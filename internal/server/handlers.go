@@ -488,17 +488,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sess, err := be.session(shard)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	s.metrics.ObserveShard(shard)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 	defer cancel()
 
-	key, compute := s.plan(box, sess, kind, metric, q, shard, req.resolved(metric))
+	key, compute := s.plan(box, kind, metric, q, shard, req.resolved(metric))
 	// The cache span covers the whole lookup: a hit ends it immediately, a
 	// miss stretches it over the compute (whose own spans nest inside), and
 	// a singleflight waiter shows the time spent waiting on the leader.
@@ -567,12 +562,8 @@ func fillResult(scores *[]float64, dist *[]int32, top *[]NodeScore, kind string,
 // on a flight whose leader is queued for a slot while holding one would
 // deadlock a size-1 pool. The invariant throughout the serving layer is
 // "never wait on a flight while holding a slot".
-//
-// Sessions passed in are used sequentially by the closure; a closure
-// invocation computes at most one query at a time, so per-goroutine
-// sessions stay single-threaded.
-func (s *Server) plan(box *backendBox, sess queries.Session, kind, metric string, q graph.NodeID, shard int, p queryParams) (string, func(context.Context) (any, error)) {
-	key, compute := s.metricPlan(box, sess, metric, q, shard, p)
+func (s *Server) plan(box *backendBox, kind, metric string, q graph.NodeID, shard int, p queryParams) (string, func(context.Context) (any, error)) {
+	key, compute := s.metricPlan(box, metric, q, shard, p)
 	if kind != "topk" {
 		return key, compute
 	}
@@ -606,7 +597,9 @@ func (s *Server) plan(box *backendBox, sess queries.Session, kind, metric string
 
 // metricPlan returns the cache key and pool-bounded compute closure for one
 // plain metric query (the score/distance vector underlying every kind).
-func (s *Server) metricPlan(box *backendBox, sess queries.Session, metric string, q graph.NodeID, shard int, p queryParams) (string, func(context.Context) (any, error)) {
+// RWR and PHP run on the shard's session, which the backend built with the
+// artifact, so a request pays only for its own iterations.
+func (s *Server) metricPlan(box *backendBox, metric string, q graph.NodeID, shard int, p queryParams) (string, func(context.Context) (any, error)) {
 	pooled := func(fn func(ctx context.Context) (any, error)) func(context.Context) (any, error) {
 		return func(ctx context.Context) (any, error) {
 			// The compute span covers pool admission plus the computation;
@@ -635,7 +628,7 @@ func (s *Server) metricPlan(box *backendBox, sess queries.Session, metric string
 		return fmt.Sprintf("g%d|hop|n%d", sgen, q),
 			pooled(func(ctx context.Context) (any, error) {
 				_ = ctx // BFS is single-pass; bounded by the pool, not the context
-				return box.be.hop(q)
+				return box.be.c.HOP(q)
 			})
 	case "php":
 		cfg := queries.PHPConfig{C: p.c, Eps: p.eps, MaxIter: p.maxIter}
@@ -643,7 +636,7 @@ func (s *Server) metricPlan(box *backendBox, sess queries.Session, metric string
 			pooled(func(ctx context.Context) (any, error) {
 				cfg := cfg
 				cfg.Ctx = ctx
-				return sess.PHP(q, cfg)
+				return box.be.sessions[shard].PHP(q, cfg)
 			})
 	case "pagerank":
 		cfg := queries.PageRankConfig{Damping: p.damping, Eps: p.eps, MaxIter: p.maxIter}
@@ -651,7 +644,7 @@ func (s *Server) metricPlan(box *backendBox, sess queries.Session, metric string
 			pooled(func(ctx context.Context) (any, error) {
 				cfg := cfg
 				cfg.Ctx = ctx
-				return box.be.pagerank(shard, cfg)
+				return pageRankChecked(box.be.c.Machines[shard].Oracle(), cfg)
 			})
 	default: // rwr
 		cfg := queries.RWRConfig{Restart: p.restart, Eps: p.eps, MaxIter: p.maxIter}
@@ -659,7 +652,7 @@ func (s *Server) metricPlan(box *backendBox, sess queries.Session, metric string
 			pooled(func(ctx context.Context) (any, error) {
 				cfg := cfg
 				cfg.Ctx = ctx
-				return sess.RWR(q, cfg)
+				return box.be.sessions[shard].RWR(q, cfg)
 			})
 	}
 }

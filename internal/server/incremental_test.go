@@ -31,11 +31,11 @@ func incrementalServer(t testing.TB) *Server {
 // assignOf returns the node→shard table of a sharded test server.
 func assignOf(t testing.TB, s *Server) []uint32 {
 	t.Helper()
-	cb, ok := s.current().be.(*clusterBackend)
-	if !ok {
+	be := s.current().be
+	if be.numShards() < 2 {
 		t.Fatal("test server is not sharded")
 	}
-	return cb.c.Assign
+	return be.c.Assign
 }
 
 // partialTargets returns a target list covering every node except every

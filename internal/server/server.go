@@ -1,7 +1,8 @@
 // Package server implements pegasus-serve, the concurrent summary-serving
 // subsystem: an stdlib-only HTTP daemon that loads or builds a graph, holds
-// either one personalized summary or a sharded distributed.Cluster, and
-// answers node-similarity queries over JSON endpoints. Every query on node q
+// a distributed.Cluster of personalized summaries (one machine when
+// unsharded) with one query session per machine, and answers
+// node-similarity queries over JSON endpoints. Every query on node q
 // is routed to the shard owning q (the routing table of §IV), answered on
 // that shard's summary alone, and cached in a sharded LRU with singleflight
 // deduplication. A bounded worker pool keeps heavy power iterations from
@@ -70,7 +71,7 @@ type Server struct {
 // backendBox pairs a backend with the generation it was built under, so a
 // query observes one consistent (backend, generation) pair.
 type backendBox struct {
-	be  backend
+	be  *backend
 	gen uint64
 	// keys are the per-shard content keys of this build (nil when the
 	// config was not fingerprintable).

@@ -86,11 +86,11 @@ func decodeInto(t testing.TB, raw []byte, v any) {
 func TestRWRMatchesShardSummary(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	cb := s.current().be.(*clusterBackend)
+	be := s.current().be
 
 	queried := make(map[int]bool)
-	for q := 0; q < len(cb.c.Assign) && len(queried) < cb.numShards(); q++ {
-		shard := int(cb.c.Assign[q])
+	for q := 0; q < len(be.c.Assign) && len(queried) < be.numShards(); q++ {
+		shard := int(be.c.Assign[q])
 		if queried[shard] {
 			continue
 		}
@@ -105,7 +105,7 @@ func TestRWRMatchesShardSummary(t *testing.T) {
 		if resp.Shard != shard {
 			t.Errorf("node %d routed to shard %d, want %d", q, resp.Shard, shard)
 		}
-		want, err := queries.SummaryRWR(cb.c.Machines[shard].Summary, graph.NodeID(q), queries.RWRConfig{})
+		want, err := queries.SummaryRWR(be.c.Machines[shard].Summary, graph.NodeID(q), queries.RWRConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +118,8 @@ func TestRWRMatchesShardSummary(t *testing.T) {
 			}
 		}
 	}
-	if len(queried) != cb.numShards() {
-		t.Fatalf("exercised %d shards, want %d", len(queried), cb.numShards())
+	if len(queried) != be.numShards() {
+		t.Fatalf("exercised %d shards, want %d", len(queried), be.numShards())
 	}
 }
 
@@ -401,7 +401,7 @@ func TestSummarizeRebuild(t *testing.T) {
 	if fresh.Generation != 2 {
 		t.Fatalf("query generation %d, want 2", fresh.Generation)
 	}
-	want, err := queries.SummaryRWR(s.current().be.(*summaryBackend).s, 1, queries.RWRConfig{})
+	want, err := queries.SummaryRWR(s.current().be.c.Machines[0].Summary, 1, queries.RWRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,8 +248,11 @@ func TestWarmStartUnderConcurrentTraffic(t *testing.T) {
 	nodeChanged := nodeOnShard(t, assign, 0)
 	nodeKept := nodeOnShard(t, assign, 1)
 
-	// Warm the query cache on a shard the rebuild will not touch.
+	// Warm the query cache on a shard the rebuild will not touch and on the
+	// shard it rebuilds: (a) needs the first entry kept, (b) the second
+	// dropped.
 	queryBody(t, s, "/v1/query/rwr", map[string]any{"node": nodeKept})
+	queryBody(t, s, "/v1/query/rwr", map[string]any{"node": nodeChanged})
 
 	const batchers = 4
 	stop := make(chan struct{})
@@ -268,6 +271,14 @@ func TestWarmStartUnderConcurrentTraffic(t *testing.T) {
 				nodes := []uint32{
 					uint32((b*13 + i*5) % n),
 					uint32((b*31 + i*11) % n),
+				}
+				// Keep nodeChanged out of the traffic: an answer the rebuilt
+				// shard computes after the swap is a fresh cache entry that
+				// (b) would mistake for a stale one.
+				for j, u := range nodes {
+					if u == nodeChanged {
+						nodes[j] = (u + 1) % uint32(n)
+					}
 				}
 				res, raw := postJSON(t, h, "/v1/query/batch", map[string]any{"kind": "rwr", "nodes": nodes})
 				if res.StatusCode != 200 {

@@ -1,9 +1,6 @@
 package pegasus
 
-import (
-	"pegasus/internal/graph"
-	"pegasus/internal/queries"
-)
+import "pegasus/internal/queries"
 
 // Oracle abstracts neighborhood access (Appendix A of the paper: most graph
 // algorithms touch the graph only through the neighborhood query, so they
@@ -67,10 +64,11 @@ func PushRWR(o Oracle, q NodeID, cfg PushConfig) ([]float64, error) {
 // answer shape).
 func TopK(scores []float64, k int) []NodeID { return queries.TopK(scores, k) }
 
-// QuerySession answers repeated RWR/PHP queries over one artifact while
-// sharing the query-independent precompute (the weighted-degree scan) and
-// iteration scratch across calls — the amortization behind the paper's
-// multi-query workloads. Not safe for concurrent use.
+// QuerySession answers RWR/PHP queries over one artifact. It computes the
+// query-independent precompute (the weighted-degree scan) once, when it is
+// created, so every query after the first skips it — the amortization
+// behind the paper's multi-query workloads. A session is immutable, so one
+// session is safe for concurrent use by any number of goroutines.
 type QuerySession = queries.Session
 
 // NewQuerySession returns a QuerySession over any Oracle.
@@ -79,29 +77,3 @@ func NewQuerySession(o Oracle) QuerySession { return queries.NewSession(o) }
 // NewSummaryQuerySession returns a QuerySession over a summary graph using
 // the block-accelerated evaluators.
 func NewSummaryQuerySession(s *Summary) QuerySession { return queries.NewSummarySession(s) }
-
-// RWRBatch answers RWR for every node of qs over one Oracle through a
-// shared QuerySession: the weighted-degree vector is computed once for the
-// whole batch instead of once per node.
-func RWRBatch(o Oracle, qs []NodeID, cfg RWRConfig) ([][]float64, error) {
-	return queries.RWRBatch(o, qs, cfg)
-}
-
-// SummaryRWRBatch is RWRBatch over the block-accelerated summary evaluator.
-func SummaryRWRBatch(s *Summary, qs []NodeID, cfg RWRConfig) ([][]float64, error) {
-	return queries.SummaryRWRBatch(s, qs, cfg)
-}
-
-// PHPBatch answers PHP for every node of qs over one Oracle through a
-// shared QuerySession — PHP shares the RWR precompute, so a batch pays the
-// weighted-degree scan once instead of once per node.
-func PHPBatch(o Oracle, qs []NodeID, cfg PHPConfig) ([][]float64, error) {
-	return queries.PHPBatch(o, qs, cfg)
-}
-
-// SummaryPHPBatch is PHPBatch over the block-accelerated summary evaluator.
-func SummaryPHPBatch(s *Summary, qs []NodeID, cfg PHPConfig) ([][]float64, error) {
-	return queries.SummaryPHPBatch(s, qs, cfg)
-}
-
-var _ = graph.NodeID(0) // keep the graph import explicit for NodeID's origin
