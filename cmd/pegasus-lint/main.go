@@ -5,30 +5,31 @@
 // hotalloc, lockorder, maporder, nilness, poolhold, typederr. Run
 // `pegasus-lint -list` for one-line descriptions.
 //
-// Direct mode loads and checks packages like a multichecker (including
-// `go list -test` variants, so _test.go files are covered where an
-// analyzer opts in):
+// Usage:
+//
+//	pegasus-lint [-json] [-list] [packages]
+//
+// It loads the packages (default ./...) with one `go list -export -deps
+// -test` run, test variants included so _test.go files are covered where
+// an analyzer opts in, and checks them in one pass for two kinds of
+// finding: invariant violations no //lint: comment suppresses, and stale
+// or malformed //lint: comments (analyzer "suppressions") — ones that
+// suppress nothing, name no analyzer's directive, or give no
+// justification.
 //
 //	pegasus-lint ./...
 //	pegasus-lint -json ./internal/core ./internal/server
-//	pegasus-lint -unused-suppressions ./...
-//	pegasus-lint -units units.json ./...
 //
-// With -units, packages come from a pre-computed
-// `go list -export -deps -test -json=<load.ListFields>` stream instead of
-// a fresh go list run; CI produces that stream once and shares the warmed
-// build cache with the vettool pass.
+// Flags:
 //
-// Exit codes (both modes):
+//	-json  print the result to stdout as one JSON object (below)
+//	-list  list the analyzers with their directives and exit
 //
-//	0  no diagnostics survived suppression
+// Exit codes:
+//
+//	0  no findings
 //	1  usage, load, or internal error
-//	2  diagnostics were reported
-//
-// Vet-tool mode speaks cmd/go's vet protocol, so the same analyzers run
-// through the standard toolchain (and its build cache):
-//
-//	go vet -vettool=$(go env GOPATH)/bin/pegasus-lint ./...
+//	2  findings were reported
 //
 // The -json output is one object:
 //
@@ -37,10 +38,10 @@
 //	  "suppressed": {"maporder": 3, "goleak": 1}
 //	}
 //
-// where findings is sorted by position and suppressed counts the
-// diagnostics silenced per analyzer by //lint: comments (absent analyzers
-// suppressed nothing). With -unused-suppressions, findings instead lists
-// stale or malformed //lint: comments (analyzer "suppressions").
+// where findings lists the invariant violations sorted by position, then
+// the stale or malformed //lint: comments sorted by position, and
+// suppressed counts the diagnostics silenced per analyzer by //lint:
+// comments (absent analyzers suppressed nothing).
 //
 // Suppression: a `//lint:<directive> <justification>` comment on the
 // flagged line or the line above silences the diagnostic; the justification
@@ -49,13 +50,10 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"pegasus/internal/lint"
@@ -67,71 +65,20 @@ func main() {
 }
 
 func run(args []string) int {
-	if len(args) == 1 && args[0] == "-flags" {
-		return printFlags()
-	}
 	fs := flag.NewFlagSet("pegasus-lint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit results as JSON")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	unused := fs.Bool("unused-suppressions", false, "flag stale //lint: comments instead of invariant violations")
-	units := fs.String("units", "", "load packages from a pre-computed `go list -json` stream (file path or - for stdin)")
-	version := fs.String("V", "", "print version information (cmd/go vet protocol)")
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-	if *version != "" {
-		return printVersion()
 	}
 	if *list {
 		return printList()
 	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetToolMode(rest[0])
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	return directMode(rest, *jsonOut, *unused, *units)
-}
-
-// printFlags implements the `-flags` handshake: cmd/go asks a vettool for
-// its flag inventory (as JSON) to validate the flags it forwards.
-func printFlags() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{
-		{Name: "V", Bool: false, Usage: "print version information (cmd/go vet protocol)"},
-		{Name: "json", Bool: true, Usage: "emit results as JSON"},
-		{Name: "list", Bool: true, Usage: "list the analyzers and exit"},
-		{Name: "unused-suppressions", Bool: true, Usage: "flag stale //lint: comments instead of invariant violations"},
-		{Name: "units", Bool: false, Usage: "load packages from a pre-computed go list -json stream"},
-	}
-	data, err := json.Marshal(flags)
-	if err != nil {
-		return 1
-	}
-	fmt.Println(string(data))
-	return 0
-}
-
-// printVersion implements the `-V=full` handshake cmd/go performs before
-// trusting a vettool: the output must parse as
-// "<name> version devel ... buildID=<content-id>", where the build ID
-// fingerprint keys go vet's result cache to this exact binary.
-func printVersion() int {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:16])
-		}
-	}
-	fmt.Printf("pegasus-lint version devel buildID=%s\n", id)
-	return 0
+	return check(patterns, *jsonOut)
 }
 
 // printList enumerates the suite: name, suppression directive, and the
@@ -150,39 +97,23 @@ type jsonResult struct {
 	Suppressed map[string]int `json:"suppressed"`
 }
 
-// directMode is the multichecker path: load packages (test variants
-// included) with the standard toolchain and report findings.
-func directMode(patterns []string, jsonOut, unused bool, unitsPath string) int {
-	cfg := load.Config{Dir: ".", Tests: true}
-	if unitsPath != "" {
-		f := os.Stdin
-		if unitsPath != "-" {
-			var err error
-			f, err = os.Open(unitsPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-		}
-		cfg.Units = f
-	}
-	pkgs, err := load.LoadConfig(cfg, patterns...)
+// check loads the packages (test variants included), runs the suite once,
+// and reports its invariant violations followed by its stale or malformed
+// suppressions.
+func check(patterns []string, jsonOut bool) int {
+	pkgs, err := load.LoadConfig(load.Config{}, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
 		return 1
 	}
-	res, err := lint.Run(pkgs, lint.All())
+	analyzers := lint.All()
+	res, err := lint.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
 		return 1
 	}
-	findings := res.Findings
-	noun := "invariant violation(s)"
-	if unused {
-		findings = res.UnusedSuppressions(pkgs, lint.All())
-		noun = "stale or malformed suppression(s)"
-	}
+	violations := len(res.Findings)
+	findings := append(res.Findings, res.UnusedSuppressions(pkgs, analyzers)...)
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -196,81 +127,8 @@ func directMode(patterns []string, jsonOut, unused bool, unitsPath string) int {
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "pegasus-lint: %d %s\n", len(findings), noun)
-		return 2
-	}
-	return 0
-}
-
-// vetConfig is the JSON unit description cmd/go hands a vettool for each
-// package (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetToolMode analyzes one package as described by a vet .cfg file.
-func vetToolMode(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "pegasus-lint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// cmd/go expects the facts output file to exist even though
-	// pegasus-lint's analyzers exchange no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Strip cmd/go's test-variant suffix ("pkg [pkg.test]") so package
-	// scoping (maporder.Critical etc.) matches the declared import path.
-	importPath := cfg.ImportPath
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		importPath = importPath[:i]
-	}
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		files = append(files, f)
-	}
-	fset := token.NewFileSet()
-	pkg, err := load.CheckFiles(fset, importPath, files, cfg.PackageFile, cfg.ImportMap)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
-		return 1
-	}
-	res, err := lint.Run([]*load.Package{pkg}, lint.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pegasus-lint: %v\n", err)
-		return 1
-	}
-	for _, f := range res.Findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	if len(res.Findings) > 0 {
+		fmt.Fprintf(os.Stderr, "pegasus-lint: %d invariant violation(s), %d stale or malformed suppression(s)\n",
+			violations, len(findings)-violations)
 		return 2
 	}
 	return 0

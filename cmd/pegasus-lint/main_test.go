@@ -1,8 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestAnalyzerSuite(t *testing.T) {
 // included — exactly the package set `pegasus-lint ./...` checks.
 func loadRepo(t *testing.T) []*load.Package {
 	t.Helper()
-	pkgs, err := load.LoadConfig(load.Config{Dir: "../..", Tests: true}, "./...")
+	pkgs, err := load.LoadConfig(load.Config{Dir: "../.."}, "./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -92,39 +93,60 @@ func TestRepoCoversTestFiles(t *testing.T) {
 	}
 }
 
-// TestUnitsMode pins the shared-loader path: packages decoded from a
-// pre-computed `go list -json` stream must produce the same package set as
-// a fresh go list run.
-func TestUnitsMode(t *testing.T) {
-	raw := goListRaw(t, "../..", "-e=false", "-export", "-deps", "-test",
-		"-json="+load.ListFields, "--", "./internal/lint/...")
-	fromUnits, err := load.LoadConfig(load.Config{Units: strings.NewReader(raw)})
-	if err != nil {
-		t.Fatalf("loading from units: %v", err)
+// TestExitCodes pins the driver's contract on a stdlib-only temp module:
+// one run reports invariant violations and stale suppressions alike (exit
+// 2 on either), a package that fails to type-check exits 1, and -json
+// lists a stale comment under findings as analyzer "suppressions".
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module example.com/lintexit\n\ngo 1.24\n",
+		"clean/clean.go":   "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
+		"root/root.go":     "package root\n\nimport \"context\"\n\nfunc Root() context.Context { return context.Background() }\n",
+		"broken/broken.go": "package broken\n\nfunc F() int { return \"x\" }\n",
+		"stale/stale.go": "package stale\n\nimport \"context\"\n\n" +
+			"func Pass(ctx context.Context) context.Context {\n" +
+			"\t//lint:ctxflow excused a root that has since been removed\n" +
+			"\treturn ctx\n}\n",
 	}
-	fresh, err := load.LoadConfig(load.Config{Dir: "../..", Tests: true}, "./internal/lint/...")
-	if err != nil {
-		t.Fatalf("loading fresh: %v", err)
-	}
-	if len(fromUnits) != len(fresh) {
-		t.Fatalf("units path loaded %d packages, fresh load %d", len(fromUnits), len(fresh))
-	}
-	for i := range fresh {
-		if fromUnits[i].Path != fresh[i].Path {
-			t.Errorf("package %d: units %q != fresh %q", i, fromUnits[i].Path, fresh[i].Path)
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
+	t.Chdir(dir)
 
-func goListRaw(t *testing.T, dir string, args ...string) string {
-	t.Helper()
-	cmd := exec.Command("go", append([]string{"list"}, args...)...)
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list %v: %v", args, err)
+	for _, tc := range []struct {
+		pkg  string
+		want int
+	}{
+		{"./clean", 0},
+		{"./root", 2},   // context.Background() in a library package
+		{"./stale", 2},  // a //lint:ctxflow comment that suppresses nothing
+		{"./broken", 1}, // fails to type-check
+	} {
+		if code := run([]string{tc.pkg}); code != tc.want {
+			t.Errorf("pegasus-lint %s exited %d, want %d", tc.pkg, code, tc.want)
+		}
 	}
-	return string(out)
+
+	var code int
+	out := captureStdout(t, func() { code = run([]string{"-json", "./stale"}) })
+	if code != 2 {
+		t.Errorf("pegasus-lint -json ./stale exited %d, want 2", code)
+	}
+	var res jsonResult
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("decoding -json output: %v\n%s", err, out)
+	}
+	if len(res.Findings) != 1 || res.Findings[0].Analyzer != "suppressions" ||
+		filepath.Base(res.Findings[0].Pos.Filename) != "stale.go" || res.Findings[0].Pos.Line != 6 {
+		t.Errorf("-json findings = %+v, want one \"suppressions\" finding at stale.go:6", res.Findings)
+	}
 }
 
 // TestListFlag pins the -list output: every analyzer appears with its

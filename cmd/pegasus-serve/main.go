@@ -50,7 +50,7 @@ func main() {
 		method   = flag.String("partition", "random", "partition method: louvain | blp | shpi | shpii | shpkl | random")
 		budget   = flag.Float64("budget", 0.5, "per-shard summary budget as a fraction of Size(G)")
 		alpha    = flag.Float64("alpha", 0, "degree of personalization (0 = default 1.25)")
-		targets  = flag.String("targets", "", "comma-separated target nodes (single-shard personalization)")
+		targets  = flag.String("targets", "", "comma-separated target nodes: each shard personalizes to its part ∩ targets, or to its whole part when no target falls in it (unsharded, the part is V: empty means non-personalized)")
 		seed     = flag.Int64("seed", 0, "random seed for partitioning and summarization")
 		cache    = flag.Int("cache", 4096, "query-result cache entries (negative disables)")
 		workers  = flag.Int("workers", 0, "concurrent query computations (0 = GOMAXPROCS)")

@@ -26,8 +26,8 @@ func Suppressed(fset *token.FileSet, file *ast.File, pos token.Pos, directive st
 
 // SuppressionAt returns the position of the //lint:<directive> comment
 // covering a diagnostic at pos (token.NoPos if none). Drivers use the
-// comment position to track which suppressions actually fire, so stale
-// annotations can be flagged by `pegasus-lint -unused-suppressions`.
+// comment position to track which suppressions actually fire, so
+// `pegasus-lint` can flag stale annotations in the same run.
 func SuppressionAt(fset *token.FileSet, file *ast.File, pos token.Pos, directive string) token.Pos {
 	if !pos.IsValid() {
 		return token.NoPos

@@ -6,9 +6,9 @@
 // stdlib-only go/analysis mirror in internal/lint/analysis — the simple
 // ones walk the AST directly, the flow-sensitive ones (goleak, lockorder,
 // nilness) solve dataflow problems over internal/lint/cfg graphs with the
-// internal/lint/dataflow worklist solver — and run through
-// cmd/pegasus-lint, either directly (`pegasus-lint ./...`) or as a
-// `go vet -vettool`.
+// internal/lint/dataflow worklist solver — and run through one driver,
+// cmd/pegasus-lint (`pegasus-lint ./...`), which reports invariant
+// violations and stale suppressions from a single load and Run.
 //
 // # Adding an analyzer
 //
@@ -39,9 +39,9 @@
 //     fixpoint. Report only in a post-fixpoint pass so facts are stable.
 //  6. Append the analyzer to All() (alphabetical), then sweep the repo:
 //     fix real findings, annotate justified ones with
-//     `//lint:<directive> <justification>`, and keep both
-//     `pegasus-lint ./...` and `pegasus-lint -unused-suppressions ./...`
-//     at exit 0 — TestRepoIsClean enforces exactly that.
+//     `//lint:<directive> <justification>`, and keep `pegasus-lint ./...`
+//     at exit 0: no violations and no stale suppressions —
+//     TestRepoIsClean enforces exactly that.
 //  7. Document the contract in DESIGN.md ("Enforced invariants").
 package lint
 
@@ -92,7 +92,7 @@ func (f Finding) String() string {
 }
 
 // Result is the outcome of one Run: the surviving findings plus the
-// suppression accounting the -unused-suppressions mode builds on.
+// suppression accounting UnusedSuppressions builds on.
 type Result struct {
 	// Findings are the unsuppressed diagnostics, sorted by position.
 	Findings []Finding
@@ -111,7 +111,7 @@ type Result struct {
 
 // Run applies every analyzer to every package and returns the surviving
 // findings sorted by position plus suppression accounting. Suppression
-// rules applied here, uniformly for all drivers (CLI, vettool, tests):
+// rules applied here, uniformly for the CLI, the fixture runner and tests:
 //
 //   - a //lint:<directive> justification comment on the diagnostic's line
 //     or the line above it suppresses the diagnostic;

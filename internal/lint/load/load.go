@@ -3,7 +3,9 @@
 // for every dependency (stdlib included, fully offline), and go/importer's
 // gc importer consumes it, so analyzers always see complete types.Info. It
 // is the stand-in for golang.org/x/tools/go/packages, which the build
-// image cannot fetch.
+// image cannot fetch. LoadConfig is the lint driver's loader: one go list
+// run per invocation, source-parsed and type-checked target packages. The
+// analysistest fixture runner reuses GoList and ExportImporter.
 package load
 
 import (
@@ -37,9 +39,8 @@ type ListPackage struct {
 	ForTest    string // set on test variants: the import path under test
 }
 
-// ListFields is the -json field list matching ListPackage; `go list` runs
-// that feed DecodeUnits (the shared-loader path in CI) must use it.
-const ListFields = "ImportPath,Name,Dir,Export,GoFiles,ImportMap,DepOnly,Standard,ForTest"
+// listFields is the -json field list matching ListPackage.
+const listFields = "ImportPath,Name,Dir,Export,GoFiles,ImportMap,DepOnly,Standard,ForTest"
 
 // Package is one fully type-checked package ready for analysis.
 type Package struct {
@@ -96,9 +97,9 @@ func ExportImporter(fset *token.FileSet, exports, importMap map[string]string) t
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// CheckFiles parses and type-checks the named files as one package with
+// checkFiles parses and type-checks the named files as one package with
 // import path path, resolving imports through exports/importMap.
-func CheckFiles(fset *token.FileSet, path string, filenames []string, exports, importMap map[string]string) (*Package, error) {
+func checkFiles(fset *token.FileSet, path string, filenames []string, exports, importMap map[string]string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -107,11 +108,6 @@ func CheckFiles(fset *token.FileSet, path string, filenames []string, exports, i
 		}
 		files = append(files, f)
 	}
-	return CheckParsed(fset, path, files, exports, importMap)
-}
-
-// CheckParsed type-checks already-parsed files as one package.
-func CheckParsed(fset *token.FileSet, path string, files []*ast.File, exports, importMap map[string]string) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -135,70 +131,27 @@ func CheckParsed(fset *token.FileSet, path string, files []*ast.File, exports, i
 	return &Package{Path: path, Name: name, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// Load type-checks the packages matching patterns (e.g. "./...") relative
-// to dir, in one `go list -export -deps` invocation, and returns them
-// sorted by import path. Dependency-only packages are type-checked via
-// export data, never re-parsed.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadConfig(Config{Dir: dir}, patterns...)
-}
-
-// Config controls package loading beyond the defaults of Load.
+// Config controls package loading.
 type Config struct {
 	// Dir is the working directory for `go list` (defaults to ".").
 	Dir string
-
-	// Tests loads `go list -test` variants so _test.go files are analyzed
-	// too. Where a test variant exists ("pkg [pkg.test]"), it replaces the
-	// plain package — the variant's GoFiles are a superset, so analyzing
-	// both would duplicate every non-test diagnostic. Variant paths are
-	// normalized: "pkg [pkg.test]" loads as "pkg", and external test
-	// packages keep their "pkg_test" path (scoped analyzers trim the
-	// suffix). Generated "pkg.test" mains are skipped.
-	Tests bool
-
-	// Units, when non-nil, is a pre-computed `go list -json=ListFields`
-	// stream (with -export -deps, and -test if Tests is set) to use instead
-	// of running go list. CI uses this to run the expensive loader step
-	// once and share it between the direct and vettool lint drivers.
-	Units io.Reader
 }
 
-// DecodeUnits decodes a `go list -json` stream as produced with ListFields.
-func DecodeUnits(r io.Reader) ([]ListPackage, error) {
-	var pkgs []ListPackage
-	dec := json.NewDecoder(r)
-	for {
-		var p ListPackage
-		if derr := dec.Decode(&p); derr == io.EOF {
-			break
-		} else if derr != nil {
-			return nil, fmt.Errorf("decoding go list units: %v", derr)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// LoadConfig type-checks the packages matching patterns according to cfg.
+// LoadConfig type-checks the packages matching patterns according to cfg,
+// test variants included so _test.go files are analyzed too. Where a test
+// variant exists ("pkg [pkg.test]"), it replaces the plain package — the
+// variant's GoFiles are a superset, so analyzing both would duplicate
+// every non-test diagnostic. Variant paths are normalized: "pkg
+// [pkg.test]" loads as "pkg", and external test packages keep their
+// "pkg_test" path (scoped analyzers trim the suffix). Generated "pkg.test"
+// mains are skipped.
 func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
-	var listed []ListPackage
-	var err error
-	if cfg.Units != nil {
-		listed, err = DecodeUnits(cfg.Units)
-	} else {
-		dir := cfg.Dir
-		if dir == "" {
-			dir = "."
-		}
-		args := []string{"-e=false", "-export", "-deps"}
-		if cfg.Tests {
-			args = append(args, "-test")
-		}
-		args = append(args, "-json="+ListFields, "--")
-		args = append(args, patterns...)
-		listed, err = GoList(dir, args...)
+	dir := cfg.Dir
+	if dir == "" {
+		dir = "."
 	}
+	args := append([]string{"-e=false", "-export", "-deps", "-test", "-json=" + listFields, "--"}, patterns...)
+	listed, err := GoList(dir, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +191,7 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 		for _, name := range t.GoFiles {
 			filenames = append(filenames, filepath.Join(t.Dir, name))
 		}
-		pkg, err := CheckFiles(fset, t.ImportPath, filenames, exports, t.ImportMap)
+		pkg, err := checkFiles(fset, t.ImportPath, filenames, exports, t.ImportMap)
 		if err != nil {
 			return nil, err
 		}

@@ -66,10 +66,12 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 	return r, nil
 }
 
-// buildBackend constructs the serving artifact: a single summary
-// personalized to cfg.Targets, or — when cfg.Shards >= 2 — an Alg. 3
-// cluster where shard i holds a summary personalized to partition part i
-// (restricted to cfg.Targets ∩ part i when targets are set).
+// buildBackend constructs the serving artifact: an Alg. 3 cluster of
+// cfg.Shards machines where shard i holds a summary personalized to
+// partition part i, restricted to cfg.Targets ∩ part i when that
+// intersection is non-empty. An unsharded server is the 1-machine case:
+// its one part is V, so it personalizes to cfg.Targets, or to V (the
+// non-personalized summary) when no targets are set.
 // cfg.BuildWorkers bounds the build parallelism (concurrent shard builds
 // plus the engine's internal pipeline) and ctx cancels summarization
 // mid-build — a disconnected POST /v1/summarize client stops burning CPU.
@@ -81,14 +83,11 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 // internal/distributed). A non-nil store adds the disk tier: shards not
 // satisfied by prev decode their artifact from the store when filed there,
 // and freshly built shards are persisted back — a restart with a populated
-// cache dir builds nothing. Returned alongside the backend: the per-shard
-// keys and the rebuilt/reused/loaded stats. graphToken is the cached
+// cache dir builds nothing. The per-shard keys land on the cluster's Keys;
+// the stats count rebuilt/reused/loaded shards. graphToken is the cached
 // distributed.GraphToken of g.
-func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (*backend, []string, distributed.BuildStats, error) {
+func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (*backend, distributed.BuildStats, error) {
 	budgetBits := cfg.BudgetRatio * g.SizeBits()
-	if cfg.Shards <= 1 {
-		return buildSingle(ctx, g, cfg, budgetBits, graphToken, prev, store)
-	}
 	// Split the worker budget between the two levels of parallelism: up to
 	// BuildWorkers shard builds in flight, each engine using the leftover
 	// share, so the build never runs more than ~BuildWorkers goroutines.
@@ -106,7 +105,12 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 	// The partition depends only on (graph, Shards, PartitionMethod, Seed),
 	// none of which /v1/summarize can change, so labels — and with them the
 	// node→shard routing — are stable across hot rebuilds.
-	labels := partition.Partition(g, cfg.Shards, partition.Method(cfg.PartitionMethod), cfg.Seed)
+	var labels []uint32
+	if cfg.Shards > 1 {
+		labels = partition.Partition(g, cfg.Shards, partition.Method(cfg.PartitionMethod), cfg.Seed)
+	} else {
+		labels = make([]uint32, g.NumNodes()) // one part, V: no partitioner to run
+	}
 	cfgKey, _ := base.ContentKey() // server configs never set Threshold, but stay safe
 	var prevCluster *distributed.Cluster
 	if prev != nil {
@@ -122,56 +126,7 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 			Store:      store,
 		})
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("server: build cluster: %w", err)
+		return nil, stats, fmt.Errorf("server: build cluster: %w", err)
 	}
-	return newBackend(c), c.Keys, stats, nil
-}
-
-// buildSingle is the unsharded arm of buildBackend: one summary
-// personalized to cfg.Targets, served as a 1-machine cluster and keyed as
-// one shard so no-op rebuilds reuse it and a configured store can
-// warm-start it from disk.
-func buildSingle(ctx context.Context, g *graph.Graph, cfg Config, budgetBits float64, graphToken string, prev *backendBox, store *persist.Store) (*backend, []string, distributed.BuildStats, error) {
-	ccfg := core.Config{
-		Targets:    cfg.Targets,
-		Alpha:      cfg.Alpha,
-		Seed:       cfg.Seed,
-		BudgetBits: budgetBits,
-		Workers:    cfg.BuildWorkers,
-	}
-	stats := distributed.BuildStats{ReusedShards: make([]bool, 1), LoadedShards: make([]bool, 1)}
-	var keys []string
-	if ck, ok := ccfg.ContentKey(); ok {
-		keys = []string{distributed.ShardKey(graphToken, cfg.Targets, budgetBits, ck)}
-		if prev != nil && len(prev.keys) == 1 && prev.keys[0] == keys[0] {
-			stats.Reused = 1
-			stats.ReusedShards[0] = true
-			return prev.be, keys, stats, nil
-		}
-		if store != nil {
-			if a, ok, _ := store.Get(keys[0]); ok && a.Summary != nil && a.Summary.NumNodes() == g.NumNodes() {
-				stats.Loaded = 1
-				stats.LoadedShards[0] = true
-				return singleBackend(a.Summary), keys, stats, nil
-			}
-		}
-	}
-	res, err := core.SummarizeCtx(ctx, g, ccfg)
-	if err != nil {
-		return nil, nil, stats, fmt.Errorf("server: summarize: %w", err)
-	}
-	stats.Rebuilt = 1
-	if store != nil && len(keys) == 1 {
-		_ = store.Put(keys[0], persist.Artifact{Summary: res.Summary}) // best-effort; store counts failures
-	}
-	return singleBackend(res.Summary), keys, stats, nil
-}
-
-// singleBackend serves one summary as a 1-machine cluster: every node
-// routes to machine 0.
-func singleBackend(s *summary.Summary) *backend {
-	return newBackend(&distributed.Cluster{
-		Assign:   make([]uint32, s.NumNodes()),
-		Machines: []*distributed.Machine{{Summary: s}},
-	})
+	return newBackend(c), stats, nil
 }

@@ -13,8 +13,9 @@ import (
 type Config struct {
 	// Addr is the listen address (default ":8080").
 	Addr string
-	// Shards is the number of machines in the serving cluster (default 1: a
-	// single personalized summary, no routing table).
+	// Shards is the number of machines in the serving cluster (default 1:
+	// one machine whose partition part is all of V, so every query routes
+	// to shard 0).
 	Shards int
 	// PartitionMethod divides the node set across shards when Shards >= 2:
 	// "louvain", "blp", "shpi", "shpii", "shpkl" or "random" (default
@@ -23,12 +24,13 @@ type Config struct {
 	// BudgetRatio is the per-shard summary budget as a fraction of Size(G)
 	// (default 0.5) — the k of Alg. 3, expressed relatively.
 	BudgetRatio float64
-	// Targets personalizes the summaries. Single-shard: the summary's
-	// target set (empty = non-personalized). Sharded: each shard i is
-	// personalized to the intersection of its partition part with Targets,
-	// while parts containing no target are untouched and keep their
-	// whole-part personalization (Alg. 3) — so a hot reconfiguration that
-	// changes targets inside one part rebuilds only that shard.
+	// Targets personalizes the summaries: each shard i is personalized to
+	// the intersection of its partition part with Targets, while parts
+	// containing no target keep their whole-part personalization (Alg. 3)
+	// — so a hot reconfiguration that changes targets inside one part
+	// rebuilds only that shard. Order and repeats do not matter. On an
+	// unsharded server the one part is V: the summary personalizes to
+	// Targets, or is the non-personalized summary when Targets is empty.
 	Targets []graph.NodeID
 	// Alpha is the degree of personalization (default 1.25).
 	Alpha float64

@@ -191,15 +191,15 @@ type QueryResponse struct {
 }
 
 // SummarizeRequest is the JSON body of POST /v1/summarize. Absent (or null)
-// fields keep the current setting; on single-shard servers a
-// present-but-empty targets list switches to a non-personalized summary.
-// On sharded servers, each shard's resolved target set is the intersection
-// of its partition part with the requested targets, and a part containing
-// no requested target keeps its whole-part personalization — so an
-// explicitly empty list resets every part to whole-part personalization,
-// rebuilding only the shards that were restricted. A request that changes
-// targets within one part therefore rebuilds only that shard, and the
-// response reports how many shards were rebuilt vs reused.
+// fields keep the current setting. Each shard's resolved target set is the
+// intersection of its partition part with the requested targets (order and
+// repeats do not matter), and a part containing no requested target keeps
+// its whole-part personalization — so an explicitly empty list resets
+// every part to whole-part personalization, rebuilding only the shards
+// that were restricted. On an unsharded server the one part is V, so an
+// empty list selects the non-personalized summary. A request that changes
+// targets within one part rebuilds only that shard, and the response
+// reports how many shards were rebuilt vs reused.
 type SummarizeRequest struct {
 	Targets *[]uint32 `json:"targets"`
 	// BudgetRatio replaces the per-shard budget when present; it must be a
@@ -721,7 +721,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		Rebuilt: stats.Rebuilt,
 		Reused:  stats.Reused,
 		Loaded:  stats.Loaded,
-		Keyable: len(box.keys) > 0,
+		Keyable: len(box.be.c.Keys) > 0,
 		Trace:   debugTrace(r),
 	})
 }

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"pegasus/internal/core"
 	"pegasus/internal/gen"
 	"pegasus/internal/graph"
+	"pegasus/internal/persist"
 )
 
 // incrementalServer builds a fresh 4-shard server for rebuild tests (never
@@ -189,8 +192,8 @@ func TestSummarizeNoopAllReused(t *testing.T) {
 }
 
 // TestSummarizeSingleShardReuse: the unsharded server is a 1-shard cluster
-// for reuse purposes — a no-op reuses the summary, a targets change
-// rebuilds it.
+// for reuse purposes — a no-op, or the same target set reordered or with a
+// repeated node, reuses the summary; a targets change rebuilds it.
 func TestSummarizeSingleShardReuse(t *testing.T) {
 	g := gen.PlantedPartition(gen.SBMConfig{Nodes: 150, Communities: 3, AvgDegree: 8, MixingP: 0.05}, 12)
 	s, err := New(context.Background(), g, Config{BudgetRatio: 0.5, Seed: 4, Targets: []graph.NodeID{1, 2, 3}})
@@ -198,16 +201,52 @@ func TestSummarizeSingleShardReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	var sr SummarizeResponse
-	_, raw := postJSON(t, h, "/v1/summarize", map[string]any{})
-	decodeInto(t, raw, &sr)
-	if sr.Rebuilt != 0 || sr.Reused != 1 {
-		t.Errorf("noop: rebuilt=%d reused=%d, want 0/1", sr.Rebuilt, sr.Reused)
+	for _, tc := range []struct {
+		name    string
+		body    map[string]any
+		rebuilt int
+	}{
+		{"noop", map[string]any{}, 0},
+		{"reordered targets", map[string]any{"targets": []uint32{3, 1, 2}}, 0},
+		{"repeated target", map[string]any{"targets": []uint32{2, 1, 3, 3}}, 0},
+		{"targets change", map[string]any{"targets": []uint32{1, 2}}, 1},
+	} {
+		var sr SummarizeResponse
+		_, raw := postJSON(t, h, "/v1/summarize", tc.body)
+		decodeInto(t, raw, &sr)
+		if sr.Rebuilt != tc.rebuilt || sr.Reused != 1-tc.rebuilt {
+			t.Errorf("%s: rebuilt=%d reused=%d, want %d/%d", tc.name, sr.Rebuilt, sr.Reused, tc.rebuilt, 1-tc.rebuilt)
+		}
 	}
-	_, raw = postJSON(t, h, "/v1/summarize", map[string]any{"targets": []uint32{1, 2}})
-	decodeInto(t, raw, &sr)
-	if sr.Rebuilt != 1 || sr.Reused != 0 {
-		t.Errorf("targets change: rebuilt=%d reused=%d, want 1/0", sr.Rebuilt, sr.Reused)
+}
+
+// TestUnshardedMatchesDirectBuild: the unsharded server builds its one
+// shard personalized to V when untargeted and to the sorted, deduplicated
+// target set otherwise; both must encode to the same bytes as a direct
+// core build on the configured targets (T = V weighs every node like
+// T = ∅, and the weights depend on the target set, not the list).
+func TestUnshardedMatchesDirectBuild(t *testing.T) {
+	g := gen.BarabasiAlbert(600, 4, 3)
+	for _, targets := range [][]graph.NodeID{nil, {401, 17, 255, 17, 3}} {
+		s, err := New(context.Background(), g, Config{BudgetRatio: 0.5, Seed: 3, BuildWorkers: 2, Targets: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Summarize(g, core.Config{Targets: targets, Seed: 3, BudgetBits: 0.5 * g.SizeBits()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := persist.EncodeBytes(persist.Artifact{Summary: res.Summary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := persist.EncodeBytes(persist.Artifact{Summary: s.current().be.c.Machines[0].Summary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("targets %v: unsharded server artifact (%d bytes) differs from the direct build (%d bytes)", targets, len(got), len(want))
+		}
 	}
 }
 

@@ -73,9 +73,6 @@ type Server struct {
 type backendBox struct {
 	be  *backend
 	gen uint64
-	// keys are the per-shard content keys of this build (nil when the
-	// config was not fingerprintable).
-	keys []string
 	// shardGens are the per-shard generations the cache keys embed: a shard
 	// transplanted by an incremental rebuild keeps the generation of the
 	// build that actually produced its artifact, so cached results for that
@@ -114,7 +111,7 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Server, error) {
 		}
 	}
 	token := distributed.GraphToken(g)
-	be, keys, stats, err := buildBackend(ctx, g, cfg, token, nil, store)
+	be, stats, err := buildBackend(ctx, g, cfg, token, nil, store)
 	if err != nil {
 		return nil, err
 	}
@@ -130,12 +127,12 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Server, error) {
 		metrics:    NewMetrics(be.numShards()),
 		slowlog:    obs.NewSlowLog(cfg.SlowLogEntries),
 	}
-	s.gcStore(keys)
+	s.gcStore(be.c.Keys)
 	shardGens := make([]uint64, be.numShards())
 	for i := range shardGens {
 		shardGens[i] = 1
 	}
-	s.backend.Store(&backendBox{be: be, gen: 1, keys: keys, shardGens: shardGens})
+	s.backend.Store(&backendBox{be: be, gen: 1, shardGens: shardGens})
 	s.gen.Store(1)
 	return s, nil
 }
@@ -188,7 +185,7 @@ func (s *Server) rebuild(ctx context.Context, apply func(Config) Config) (*backe
 	defer s.mu.Unlock()
 	cfg := apply(s.buildCfg)
 	old := s.current()
-	be, keys, stats, err := buildBackend(ctx, s.g, cfg, s.graphToken, old, s.store)
+	be, stats, err := buildBackend(ctx, s.g, cfg, s.graphToken, old, s.store)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -200,16 +197,17 @@ func (s *Server) rebuild(ctx context.Context, apply func(Config) Config) (*backe
 	// index j of the previous cluster) still saves the build but must take
 	// the new generation, or entries node→shard-i cached under shard i's
 	// old artifact could be served against the transplanted one.
+	keys, oldKeys := be.c.Keys, old.be.c.Keys
 	shardGens := make([]uint64, be.numShards())
 	for i := range shardGens {
 		shardGens[i] = gen
 		if i < len(stats.ReusedShards) && stats.ReusedShards[i] &&
-			i < len(keys) && i < len(old.keys) && i < len(old.shardGens) &&
-			keys[i] != "" && keys[i] == old.keys[i] {
+			i < len(keys) && i < len(oldKeys) && i < len(old.shardGens) &&
+			keys[i] != "" && keys[i] == oldKeys[i] {
 			shardGens[i] = old.shardGens[i]
 		}
 	}
-	box := &backendBox{be: be, gen: gen, keys: keys, shardGens: shardGens}
+	box := &backendBox{be: be, gen: gen, shardGens: shardGens}
 	s.backend.Store(box)
 	s.buildCfg = cfg
 	// Cache retention rule: when at least one shard was reused, its entries

@@ -37,8 +37,9 @@ type (
 	// BatchItem is the per-node answer inside a BatchResponse.
 	BatchItem = server.BatchItem
 	// SummarizeRequest is the JSON body of POST /v1/summarize (pointer
-	// fields: absent keeps the current setting; on sharded servers each
-	// shard's target set is its partition part ∩ the requested targets).
+	// fields: absent keeps the current setting; each shard's target set is
+	// its partition part ∩ the requested targets, or the whole part when
+	// that is empty).
 	SummarizeRequest = server.SummarizeRequest
 	// SummarizeResponse is the JSON answer of POST /v1/summarize: the new
 	// per-shard report plus the incremental-rebuild outcome (rebuilt /
