@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"pegasus/internal/lint"
@@ -35,11 +36,22 @@ func TestAnalyzerSuite(t *testing.T) {
 	}
 }
 
+// repoLoad is the one load of the module that the repo tests share:
+// lint.Run only reads the packages it is given.
+var repoLoad struct {
+	once sync.Once
+	pkgs []*load.Package
+	err  error
+}
+
 // loadRepo loads the whole module once per test run, test variants
 // included — exactly the package set `pegasus-lint ./...` checks.
 func loadRepo(t *testing.T) []*load.Package {
 	t.Helper()
-	pkgs, err := load.LoadConfig(load.Config{Dir: "../.."}, "./...")
+	repoLoad.once.Do(func() {
+		repoLoad.pkgs, repoLoad.err = load.LoadConfig(load.Config{Dir: "../.."}, "./...")
+	})
+	pkgs, err := repoLoad.pkgs, repoLoad.err
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

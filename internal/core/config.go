@@ -55,6 +55,12 @@ type IterStats struct {
 	Merges     int     // merges performed this iteration
 	Rejections int     // failed merge attempts this iteration (|L| growth)
 	Groups     int     // candidate groups processed
+
+	// MassAccumulations counts the slot mass accumulations of the
+	// iteration's merge rounds, and NeighborVisits the adjacency entries
+	// they read. Both are exact and the same for every worker count.
+	MassAccumulations int
+	NeighborVisits    int
 }
 
 // Config parameterizes Summarize. Zero values select the paper defaults.

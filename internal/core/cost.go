@@ -70,30 +70,40 @@ func entropyBits(t, e float64) float64 {
 }
 
 // supernodeCost computes Cost_A (Eq. 9) for slot a under the current
-// superedge set, given a's masses in pm. Superedges to supernodes with zero
+// superedge set, given a's masses in m. Superedges to supernodes with zero
 // mass are also charged, in ascending slot order (the sorted superedge
-// list) so cost sums are bit-for-bit deterministic.
+// list) so cost sums are bit-for-bit deterministic. pos marks a's
+// superedges while it runs (1 = present, 2 = present and met among the
+// keys); it is all zero on entry and on return.
 //
-//pegasus:hotpath runs for both endpoints of every candidate pair whose Cost_A is not memoized
-func (eng *engine) supernodeCost(a uint32, pm *pairMass) float64 {
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
+//pegasus:hotpath runs for every slot of a merge round whose Cost_A is not memoized
+func (eng *engine) supernodeCost(a uint32, m slotMass, pos []int32) float64 {
+	logS2 := eng.logS2
 	piA, qA := eng.sumPi[a], eng.sumPiSq[a]
 	sa := eng.sedges[a]
+	for _, x := range sa {
+		pos[x] = 1
+	}
 	total := 0.0
-	for i, x := range pm.keys {
+	for i, x := range m.keys {
 		var t, e float64
 		if x == a {
-			t, e = selfTotals(piA, qA, pm.vals[i])
+			t, e = selfTotals(piA, qA, m.vals[i])
 		} else {
-			t, e = crossTotals(piA, eng.sumPi[x], pm.vals[i])
+			t, e = crossTotals(piA, eng.sumPi[x], m.vals[i])
 		}
-		_, present := slices.BinarySearch(sa, x)
+		present := pos[x] != 0
+		if present {
+			pos[x] = 2
+		}
 		total += eng.pairCost(t, e, present, logS2)
 	}
 	// Superedges with zero mass: possible only when weight products
 	// underflow.
 	for _, x := range sa {
-		if pm.pos[x] != 0 {
+		met := pos[x] == 2
+		pos[x] = 0
+		if met {
 			continue
 		}
 		var t, e float64
@@ -107,31 +117,18 @@ func (eng *engine) supernodeCost(a uint32, pm *pairMass) float64 {
 	return total
 }
 
-// evaluateMerge computes the cost reduction of merging slots a and b on the
-// first worker's scratch; see evaluateMergeInto.
-func (eng *engine) evaluateMerge(a, b uint32) (rel, abs float64) {
-	return eng.evaluateMergeInto(a, b, eng.scorer.scratchFor(0, len(eng.superOf)))
-}
+// evaluateMergeInto computes the cost reduction of merging slot b into slot a,
+// whose masses and Cost_A the memo entries ea and eb hold: Eq. (10)
+// (absolute) and Eq. (11) (relative). It only reads the engine state and
+// the entries and writes pos (all zero on entry and on return), so workers
+// with distinct pos arrays may evaluate distinct pairs concurrently.
+func (eng *engine) evaluateMergeInto(ea, eb *massEntry, pos []int32) (rel, abs float64) {
+	a, b := ea.slot, eb.slot
+	costC, dmAB := eng.mergedCost(a, b, ea.slotMass, eb.slotMass, pos)
+	tAB, eAB := crossTotals(eng.sumPi[a], eng.sumPi[b], dmAB)
+	costAB := eng.pairCost(tAB, eAB, eng.hasSuperedge(a, b), eng.logS2)
 
-// evaluateMergeInto computes the cost reduction of merging slots a and b:
-// Eq. (10) (absolute) and Eq. (11) (relative). It only reads the engine
-// state and writes s, so distinct scratches may evaluate distinct candidate
-// pairs concurrently (the parallel scoring path). s.curA/s.curB are left
-// holding the masses of a and b for reuse by performMergeWith.
-func (eng *engine) evaluateMergeInto(a, b uint32, s *evalScratch) (rel, abs float64) {
-	pmA, pmB := &s.curA, &s.curB
-	eng.accumulateMass(a, pmA)
-	eng.accumulateMass(b, pmB)
-
-	costA := eng.memoCost(s, a, pmA)
-	costB := eng.memoCost(s, b, pmB)
-
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
-	tAB, eAB := crossTotals(eng.sumPi[a], eng.sumPi[b], pmA.get(b))
-	costAB := eng.pairCost(tAB, eAB, eng.hasSuperedge(a, b), logS2)
-
-	before := costA + costB - costAB
-	costC := eng.mergedCost(a, b, pmA, pmB)
+	before := ea.cost + eb.cost - costAB
 	abs = before - costC
 	if before <= 1e-12 {
 		// Two cost-free supernodes (e.g. isolated): merging is neutral.
@@ -140,69 +137,79 @@ func (eng *engine) evaluateMergeInto(a, b uint32, s *evalScratch) (rel, abs floa
 	return abs / before, abs
 }
 
-// memoCost returns Cost_A of slot a from s's memo, computing it from a's
-// masses in pm when the memoized value predates the current epoch.
-func (eng *engine) memoCost(s *evalScratch, a uint32, pm *pairMass) float64 {
-	m := &s.costs[a]
-	if m.epoch != eng.epoch {
-		m.cost, m.epoch = eng.supernodeCost(a, pm), eng.epoch
-	}
-	return m.cost
-}
-
 // mergedCost computes Cost_{A∪B}(merge(A,B;G)) (the last term of Eq. 10):
 // the cost of the hypothetical merged supernode with superedges re-chosen
 // optimally (Alg. 2 line 9), evaluated in the post-merge summary where
-// |S| is one smaller. Requires pmA/pmB to hold the masses of a and b.
+// |S| is one smaller. ma and mb are the masses of a and b; it also returns
+// dm_AB, read from ma. pos indexes mb's keys while it runs: a key the two
+// lists share is negated when ma's loop meets it, so mb's loop skips it.
 //
 //pegasus:hotpath runs once per candidate-pair evaluation
-func (eng *engine) mergedCost(a, b uint32, pmA, pmB *pairMass) float64 {
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper-1), 2))
+func (eng *engine) mergedCost(a, b uint32, ma, mb slotMass, pos []int32) (cost, dmAB float64) {
+	logS2 := eng.logS2Merged
 	piC := eng.sumPi[a] + eng.sumPi[b]
 	qC := eng.sumPiSq[a] + eng.sumPiSq[b]
+	for i, x := range mb.keys {
+		pos[x] = int32(i + 1)
+	}
 
+	var dmAA, dmBB float64
 	total := 0.0
 	// Cross pairs to every adjacent supernode X ∉ {a,b}.
-	for i, x := range pmA.keys {
-		if x == a || x == b {
+	for i, x := range ma.keys {
+		switch x {
+		case a:
+			dmAA = ma.vals[i]
+			continue
+		case b:
+			dmAB = ma.vals[i]
 			continue
 		}
-		t, e := crossTotals(piC, eng.sumPi[x], pmA.vals[i]+pmB.get(x))
+		dmB := 0.0
+		if j := pos[x]; j > 0 {
+			dmB = mb.vals[j-1]
+			pos[x] = -j
+		}
+		t, e := crossTotals(piC, eng.sumPi[x], ma.vals[i]+dmB)
 		c, _ := eng.bestPairCost(t, e, logS2)
 		total += c
 	}
-	for i, x := range pmB.keys {
-		if x == a || x == b || pmA.pos[x] != 0 {
+	for i, x := range mb.keys {
+		shared := pos[x] < 0
+		pos[x] = 0
+		if x == b {
+			dmBB = mb.vals[i]
+		}
+		if x == a || x == b || shared {
 			continue // a, b, or already handled above
 		}
-		t, e := crossTotals(piC, eng.sumPi[x], pmB.vals[i])
+		t, e := crossTotals(piC, eng.sumPi[x], mb.vals[i])
 		c, _ := eng.bestPairCost(t, e, logS2)
 		total += c
 	}
 	// Self pair of the merged supernode: ordered intra mass
 	// dm_AA + dm_BB + 2·m_AB.
-	dmCC := pmA.get(a) + pmB.get(b) + 2*pmA.get(b)
+	dmCC := dmAA + dmBB + 2*dmAB
 	t, e := selfTotals(piC, qC, dmCC)
 	c, _ := eng.bestPairCost(t, e, logS2)
-	return total + c
-}
-
-// performMerge accumulates the masses of a and b on the first worker's
-// scratch and merges b into a; see performMergeWith.
-func (eng *engine) performMerge(a, b uint32) {
-	s := eng.scorer.scratchFor(0, len(eng.superOf))
-	eng.accumulateMass(a, &s.curA)
-	eng.accumulateMass(b, &s.curB)
-	eng.performMergeWith(a, b, &s.curA, &s.curB)
+	return total + c, dmAB
 }
 
 // performMergeWith merges slot b into slot a (Alg. 2 lines 6–9): removes
 // stale superedges, unions members and aggregates, and re-adds superedges
 // incident to the merged supernode exactly when presence lowers the pair
-// cost. pmA/pmB must hold the masses of a and b (as left by the argmax
-// evaluation's scratch, so the winning evaluation is not repeated here).
-func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
+// cost. ma and mb are the pre-merge masses of a and b (the memo entries the
+// winning evaluation read, so no mass is accumulated here). The merge
+// changes the masses of a and of every slot adjacent to b (b's keys), and
+// of no other slot, so exactly those memo entries are marked stale.
+func (eng *engine) performMergeWith(a, b uint32, ma, mb slotMass) {
 	eng.epoch++
+	memo := &eng.scorer.memo
+	memo.invalidate(a)
+	memo.invalidate(b)
+	for _, x := range mb.keys {
+		memo.invalidate(x)
+	}
 	eng.removeIncidentSuperedges(a)
 	eng.removeIncidentSuperedges(b)
 	eng.sedges[b] = nil
@@ -217,8 +224,9 @@ func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
 	eng.sumPiSq[a] += eng.sumPiSq[b]
 	eng.sumPi[b], eng.sumPiSq[b] = 0, 0
 	eng.numSuper--
+	eng.setLogS()
 
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
+	logS2 := eng.logS2
 	piC, qC := eng.sumPi[a], eng.sumPiSq[a]
 
 	// a's list is rebuilt unsorted and sorted once at the end; each kept
@@ -240,20 +248,41 @@ func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
 		eng.numP++
 	}
 
-	dmCC := pmA.get(a) + pmB.get(b) + 2*pmA.get(b)
-	for i, x := range pmA.keys {
-		if x == a || x == b {
+	// The same walk as mergedCost: pos indexes mb's keys, and shared keys
+	// are negated in ma's loop.
+	pos := eng.scorer.scratchFor(0, len(eng.superOf)).pos
+	for i, x := range mb.keys {
+		pos[x] = int32(i + 1)
+	}
+	var dmAA, dmBB, dmAB float64
+	for i, x := range ma.keys {
+		switch x {
+		case a:
+			dmAA = ma.vals[i]
+			continue
+		case b:
+			dmAB = ma.vals[i]
 			continue
 		}
-		decide(x, pmA.vals[i]+pmB.get(x))
+		dmB := 0.0
+		if j := pos[x]; j > 0 {
+			dmB = mb.vals[j-1]
+			pos[x] = -j
+		}
+		decide(x, ma.vals[i]+dmB)
 	}
-	for i, x := range pmB.keys {
-		if x == a || x == b || pmA.pos[x] != 0 {
+	for i, x := range mb.keys {
+		shared := pos[x] < 0
+		pos[x] = 0
+		if x == b {
+			dmBB = mb.vals[i]
+		}
+		if x == a || x == b || shared {
 			continue
 		}
-		decide(x, pmB.vals[i])
+		decide(x, mb.vals[i])
 	}
-	if dmCC > 0 {
+	if dmCC := dmAA + dmBB + 2*dmAB; dmCC > 0 {
 		decide(a, dmCC)
 	}
 	slices.Sort(eng.sedges[a])

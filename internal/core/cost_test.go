@@ -14,10 +14,43 @@ import (
 	"pegasus/internal/weights"
 )
 
-// TestCostMemoMatchesFromScratch pins the per-worker Cost_A memo bit for
-// bit: after every merge round, each memo entry tagged with the current
-// epoch (the entries the next round may reuse) must equal a fresh
-// supernodeCost of its slot.
+// evaluateMerge scores merging b into a outside any merge round, from
+// masses and Cost_A computed afresh.
+func (e *engine) evaluateMerge(a, b uint32) (rel, abs float64) {
+	en := e.freshEntries(a, b)
+	return e.evaluateMergeInto(&en[0], &en[1], e.scorer.scratch[0].pos)
+}
+
+// performMerge merges b into a outside any merge round, from masses
+// accumulated afresh into the emptied memo's arena.
+func (e *engine) performMerge(a, b uint32) {
+	m, pos := &e.scorer.memo, e.scorer.scratchFor(0, len(e.superOf)).pos
+	e.scorer.begin(nil)
+	ma := e.accumulateMass(a, m, pos)
+	mb := e.accumulateMass(b, m, pos)
+	e.performMergeWith(a, b, ma, mb)
+}
+
+// freshEntries computes the masses and Cost_A of each slot afresh, outside
+// any merge round. It empties the memo and accumulates into its arena, so
+// the entries are valid until the next call, merge or merge round.
+func (e *engine) freshEntries(slots ...uint32) []massEntry {
+	m, pos := &e.scorer.memo, e.scorer.scratchFor(0, len(e.superOf)).pos
+	e.scorer.begin(nil)
+	out := make([]massEntry, len(slots))
+	for i, x := range slots {
+		en := massEntry{slotMass: e.accumulateMass(x, m, pos), slot: x, fresh: true, epoch: e.epoch}
+		en.cost = e.supernodeCost(x, en.slotMass, pos)
+		out[i] = en
+	}
+	return out
+}
+
+// TestCostMemoMatchesFromScratch pins the candidate group's memo bit for
+// bit: after every merge round, each entry the next round may reuse must
+// equal a fresh computation for its slot. That covers the masses of every
+// fresh entry (keys in first-visit order, values bit for bit) and the
+// Cost_A of every entry tagged with the current epoch.
 func TestCostMemoMatchesFromScratch(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":  gen.BarabasiAlbert(300, 4, 3),
@@ -40,28 +73,43 @@ func TestCostMemoMatchesFromScratch(t *testing.T) {
 			}
 		}
 	}
+	// Random groups of 500 slots give rounds past minParallelPairs, so the
+	// memo is also read by several workers at once.
+	g := gen.BarabasiAlbert(600, 4, 5)
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("ba600/randomgroups/workers=%d", workers), func(t *testing.T) {
+			checkMemoEveryRound(t, newTestEngine(t, g, Config{BudgetRatio: 0.4, Seed: 13, Workers: workers, RandomGroups: true}))
+		})
+	}
 }
 
 // checkMemoEveryRound runs the first iterations of Alg. 1 on e and checks
-// every worker's memo after each merge round.
+// the memo after each merge round.
 func checkMemoEveryRound(t *testing.T, e *engine) {
 	t.Helper()
-	fresh := newPairMass(len(e.superOf))
-	rounds, checked := 0, 0
+	pos := make([]int32, len(e.superOf))
+	rounds, masses, costs := 0, 0, 0
 	e.afterRound = func() {
 		rounds++
-		for w, s := range e.scorer.scratch {
-			for a, m := range s.costs {
-				if m.epoch != e.epoch {
-					continue
+		for _, en := range e.scorer.memo.entries {
+			if !en.fresh && en.epoch != e.epoch {
+				continue
+			}
+			var scratch massMemo
+			want := e.accumulateMass(en.slot, &scratch, pos)
+			if en.fresh {
+				if !slices.Equal(en.keys, want.keys) || !slices.EqualFunc(en.vals, want.vals, sameBits) {
+					t.Fatalf("round %d, slot %d: memoized masses %v %v, from scratch %v %v",
+						rounds, en.slot, en.keys, en.vals, want.keys, want.vals)
 				}
-				e.accumulateMass(uint32(a), &fresh)
-				want := e.supernodeCost(uint32(a), &fresh)
-				if math.Float64bits(m.cost) != math.Float64bits(want) {
-					t.Fatalf("round %d, worker %d, slot %d: memoized Cost_A %v, from scratch %v",
-						rounds, w, a, m.cost, want)
+				masses++
+			}
+			if en.epoch == e.epoch {
+				if want := e.supernodeCost(en.slot, want, pos); !sameBits(en.cost, want) {
+					t.Fatalf("round %d, slot %d: memoized Cost_A %v, from scratch %v",
+						rounds, en.slot, en.cost, want)
 				}
-				checked++
+				costs++
 			}
 		}
 	}
@@ -73,10 +121,12 @@ func checkMemoEveryRound(t *testing.T, e *engine) {
 		}
 		theta = e.cfg.Threshold.Next(it, rejected, theta)
 	}
-	if checked == 0 {
-		t.Fatalf("no memo entry outlived its round in %d rounds", rounds)
+	if masses == 0 || costs == 0 {
+		t.Fatalf("%d rounds left no memo entry to check (%d masses, %d costs)", rounds, masses, costs)
 	}
 }
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // TestMergeReductionMatchesBruteForce is the Eq. (10) oracle. On small
 // random graphs it applies random merges and, around each one, recomputes

@@ -34,6 +34,12 @@ type engine struct {
 	numP     int              // |P|
 	logV     float64          // log2|V|
 
+	// logS2 is 2·log2(max(|S|,2)), the two endpoint ids a superedge costs
+	// (Eq. 3), and logS2Merged the same at |S|−1, the charge a merged
+	// supernode's superedges are evaluated at. Both change only with |S|,
+	// so newEngine and performMergeWith set them.
+	logS2, logS2Merged float64
+
 	// epoch counts merges, the only state change while pairs are scored:
 	// a memoized Cost_A is exact while its epoch is current (scorer.go).
 	// sparsify drops superedges only after the last scoring round.
@@ -50,7 +56,8 @@ type engine struct {
 	sorter      par.KeySorter
 
 	// scorer holds the batched-round state of mergeGroup: the sampled pairs
-	// of the current round and the per-worker evaluation scratch.
+	// of the current round, the current group's mass memo and the
+	// per-worker evaluation scratch.
 	scorer roundScorer
 
 	// afterRound, when set, runs after every merge round (a test hook for
@@ -58,36 +65,17 @@ type engine struct {
 	afterRound func()
 }
 
-// pairMass accumulates directed weighted edge mass from one supernode to
-// every adjacent supernode: dm_AX = Σ_{u∈A} Σ_{v∈N_u ∩ X} π'_u·π'_v.
-// For X ≠ A, dm_AX equals the unordered weighted edge mass m_AX; for X = A
-// each intra edge is visited from both endpoints, so dm_AA = 2·m_AA, which
-// is exactly the ordered intra edge mass.
+// slotMass is the directed weighted edge mass from one supernode to every
+// adjacent supernode: dm_AX = Σ_{u∈A} Σ_{v∈N_u ∩ X} π'_u·π'_v. For X ≠ A,
+// dm_AX equals the unordered weighted edge mass m_AX; for X = A each intra
+// edge is visited from both endpoints, so dm_AA = 2·m_AA, which is exactly
+// the ordered intra edge mass.
 //
 // keys holds the adjacent slots in first-visit order and vals their masses,
-// so every sum runs in visit order; pos is a dense slot index into them.
-type pairMass struct {
+// so every sum over them runs in visit order.
+type slotMass struct {
 	keys []uint32
 	vals []float64
-	pos  []int32 // slot -> 1 + index into keys; 0 = not adjacent
-}
-
-func newPairMass(slots int) pairMass { return pairMass{pos: make([]int32, slots)} }
-
-func (pm *pairMass) reset() {
-	for _, k := range pm.keys {
-		pm.pos[k] = 0
-	}
-	pm.keys = pm.keys[:0]
-	pm.vals = pm.vals[:0]
-}
-
-// get returns dm to slot x, 0 when x is not adjacent.
-func (pm *pairMass) get(x uint32) float64 {
-	if i := pm.pos[x]; i > 0 {
-		return pm.vals[i-1]
-	}
-	return 0
 }
 
 // newEngine initializes the singleton summary of Alg. 1 line 1: every node
@@ -109,6 +97,8 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 		logV:     math.Log2(math.Max(float64(n), 2)),
 		epoch:    1,
 	}
+	e.setLogS()
+	e.scorer.memo.index = make([]int32, n)
 	// The singleton superedge lists are the (sorted) adjacency lists, copied
 	// into one backing array. Each list is capped at its own length, so an
 	// insert reallocates that list alone and a delete shifts only within it.
@@ -134,6 +124,12 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 		}
 	})
 	return e
+}
+
+// setLogS refreshes the |S|-dependent superedge charges.
+func (e *engine) setLogS() {
+	e.logS2 = 2 * math.Log2(math.Max(float64(e.numSuper), 2))
+	e.logS2Merged = 2 * math.Log2(math.Max(float64(e.numSuper-1), 2))
 }
 
 // sizeBits returns Size(G) per Eq. (3) for the current state.
@@ -179,24 +175,38 @@ func (e *engine) removeIncidentSuperedges(a uint32) {
 	e.sedges[a] = e.sedges[a][:0]
 }
 
-// accumulateMass fills pm with the directed masses of slot a.
+// accumulateMass appends the directed masses of slot a to m's arena,
+// counts the work in m, and returns them. pos indexes the keys while they
+// are collected and is all zero again on return.
 //
-//pegasus:hotpath runs twice per candidate-pair evaluation
-func (e *engine) accumulateMass(a uint32, pm *pairMass) {
-	pm.reset()
+//pegasus:hotpath runs once per slot per change of its masses (scorer.go)
+func (e *engine) accumulateMass(a uint32, m *massMemo, pos []int32) slotMass {
+	keys, vals := m.arena.keys, m.arena.vals
+	off := len(keys)
+	visits := 0
 	for _, u := range e.members[a] {
 		pu := e.pi[u]
-		for _, v := range e.g.Neighbors(u) {
+		nbrs := e.g.Neighbors(u)
+		visits += len(nbrs)
+		for _, v := range nbrs {
 			x := e.superOf[v]
-			if i := pm.pos[x]; i > 0 {
-				pm.vals[i-1] += pu * e.pi[v]
+			if i := pos[x]; i > 0 {
+				vals[off+int(i)-1] += pu * e.pi[v]
 			} else {
-				pm.keys = append(pm.keys, x)
-				pm.vals = append(pm.vals, pu*e.pi[v])
-				pm.pos[x] = int32(len(pm.keys))
+				keys = append(keys, x)
+				vals = append(vals, pu*e.pi[v])
+				pos[x] = int32(len(keys) - off)
 			}
 		}
 	}
+	for _, x := range keys[off:] {
+		pos[x] = 0
+	}
+	m.arena.keys, m.arena.vals = keys, vals
+	m.accumulations++
+	m.visits += visits
+	n := len(keys)
+	return slotMass{keys: keys[off:n:n], vals: vals[off:n:n]}
 }
 
 // aliveSlots lists all live supernode slots.

@@ -13,9 +13,11 @@ import "math"
 // Two legacy defects are fixed here while preserving the exact RNG stream
 // and argmax selection of the original sequential loop: re-drawn (a,b)
 // pairs are deduped instead of burning evaluations on identical re-scores,
-// and the argmax evaluation's masses are handed to performMergeWith instead
-// of being recomputed.
+// and a slot's masses are accumulated once per change rather than once per
+// evaluation: the group's memo (scorer.go) serves every evaluation and the
+// winning merge.
 func (e *engine) mergeGroup(group []uint32, theta float64, rejected *[]float64) int {
+	e.scorer.begin(group)
 	fails := 0
 	merges := 0
 	// group is mutated in place: merged-away slots are swapped out.
@@ -42,8 +44,10 @@ func (e *engine) mergeGroup(group []uint32, theta float64, rejected *[]float64) 
 		// pair; under AbsoluteCost the scale differs but the adaptive policy
 		// tracks it automatically via L.
 		if win.bestScore >= theta {
-			e.performMergeWith(win.best.a, win.best.b, &win.bestA, &win.bestB)
-			removeSlot(&group, win.best.b)
+			m := &e.scorer.memo
+			a, b := win.best.a, win.best.b
+			e.performMergeWith(a, b, m.entry(a).slotMass, m.entry(b).slotMass)
+			removeSlot(&group, b)
 			merges++
 			fails = 0
 		} else {

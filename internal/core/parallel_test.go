@@ -136,6 +136,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 		"uniform":      {BudgetRatio: 0.35, Seed: 17},
 		"personalized": {Targets: []graph.NodeID{1, 2, 3}, Alpha: 1.5, BudgetRatio: 0.3, Seed: 23},
 		"abscost":      {BudgetRatio: 0.4, Seed: 29, CostMode: AbsoluteCost},
+		// Random groups of MaxGroupSize slots give rounds past
+		// minParallelPairs, so the scoring fans out.
+		"randomgroups": {BudgetRatio: 0.35, Seed: 31, RandomGroups: true, MaxIter: 4},
 	}
 	for _, gname := range slices.Sorted(maps.Keys(graphs)) {
 		g := graphs[gname]
@@ -177,7 +180,9 @@ func TestParallelSummarizeRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Summarize(g, Config{BudgetRatio: 0.4, Seed: int64(i), Workers: 4})
+			// Odd builds use random groups, whose rounds are large enough
+			// to fan out.
+			_, errs[i] = Summarize(g, Config{BudgetRatio: 0.4, Seed: int64(i), Workers: 4, RandomGroups: i%2 == 1})
 		}(i)
 	}
 	wg.Wait()

@@ -50,6 +50,8 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 		csp.End()
 		var rejected []float64
 		merges := 0
+		memo := &eng.scorer.memo
+		accums0, visits0 := memo.accumulations, memo.visits
 		_, msp := obs.StartSpan(ctx, "build.merge")
 		for _, grp := range groups {
 			if err := ctx.Err(); err != nil {
@@ -60,8 +62,11 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 				break
 			}
 		}
+		accums, visits := memo.accumulations-accums0, memo.visits-visits0
 		msp.AttrInt("iteration", t)
 		msp.AttrInt("merges", merges)
+		msp.AttrInt("mass_accumulations", accums)
+		msp.AttrInt("neighbor_visits", visits)
 		msp.End()
 		if cfg.Trace != nil {
 			cfg.Trace(IterStats{
@@ -73,6 +78,9 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 				Merges:     merges,
 				Rejections: len(rejected),
 				Groups:     len(groups),
+
+				MassAccumulations: accums,
+				NeighborVisits:    visits,
 			})
 		}
 		theta = cfg.Threshold.Next(t, rejected, theta)
