@@ -239,7 +239,7 @@ func TestPublicAPIArtifactStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cfg := pegasus.Config{Seed: 2, Workers: 1}
+	cfg := pegasus.Config{Seed: 2}
 	cold, st, err := pegasus.BuildSummaryClusterIncremental(ctx, g, labels, 4, budget, cfg,
 		pegasus.ClusterBuildOptions{Workers: 1, Store: store})
 	if err != nil {

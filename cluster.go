@@ -6,7 +6,6 @@ import (
 
 	"pegasus/internal/core"
 	"pegasus/internal/distributed"
-	"pegasus/internal/par"
 	"pegasus/internal/partition"
 )
 
@@ -62,13 +61,9 @@ func BuildSummaryCluster(g *Graph, labels []uint32, m int, budgetBits float64, c
 // BuildSummaryClusterCtx is BuildSummaryCluster with cooperative
 // cancellation and an explicit bound on concurrent shard builds (workers;
 // 0 = GOMAXPROCS, 1 = sequential). The first shard failure cancels the
-// remaining builds. The resulting cluster is identical for every worker
-// count and fixed seed.
-//
-// When cfg.Workers is 0 the worker budget is split between the two levels
-// of parallelism — concurrent shard builds × in-engine scoring workers —
-// so the build runs ~workers goroutines total instead of workers², the
-// same policy the serving daemon applies to BuildWorkers.
+// remaining builds. Each shard's engine runs sequentially, so the build
+// runs at most workers engines at once. The resulting cluster is identical
+// for every worker count and fixed seed.
 func BuildSummaryClusterCtx(ctx context.Context, g *Graph, labels []uint32, m int, budgetBits float64, cfg Config, workers int) (*Cluster, error) {
 	c, _, err := BuildSummaryClusterIncremental(ctx, g, labels, m, budgetBits, cfg,
 		ClusterBuildOptions{Workers: workers})
@@ -91,11 +86,11 @@ type ClusterBuildOptions struct {
 	// one part rebuilds exactly that shard. Empty Targets personalizes
 	// every shard to its whole part.
 	Targets []NodeID
-	// Prev is a previous cluster to reuse: shards whose content key —
-	// a fingerprint of (graph, resolved targets, budget, workers-independent
-	// config) — matches a shard of Prev are transplanted instead of rebuilt.
-	// The transplanted artifacts are bit-identical to what a from-scratch
-	// build would produce, so reuse only changes build time.
+	// Prev is a previous cluster to reuse: shards whose content key — a
+	// fingerprint of (graph, resolved targets, budget, config) — matches a
+	// shard of Prev are transplanted instead of rebuilt. The transplanted
+	// artifacts are bit-identical to what a from-scratch build would
+	// produce, so reuse only changes build time.
 	Prev *Cluster
 	// Store is an on-disk artifact store (OpenArtifactStore) consulted
 	// after Prev: shards whose content key is filed there decode the
@@ -114,18 +109,6 @@ type ClusterBuildOptions struct {
 // Configurations carrying a custom Threshold policy cannot be fingerprinted
 // (core.Config.ContentKey); they build every shard and record no keys.
 func BuildSummaryClusterIncremental(ctx context.Context, g *Graph, labels []uint32, m int, budgetBits float64, cfg Config, opts ClusterBuildOptions) (*Cluster, ClusterBuildStats, error) {
-	if cfg.Workers == 0 && m > 0 {
-		total := par.Workers(opts.Workers)
-		concurrentShards := total
-		if concurrentShards > m {
-			concurrentShards = m
-		}
-		if perEngine := total / concurrentShards; perEngine >= 1 {
-			cfg.Workers = perEngine
-		} else {
-			cfg.Workers = 1
-		}
-	}
 	key, _ := core.Config(cfg).ContentKey() // "" (no reuse) on unkeyable configs
 	return distributed.BuildSummaryClusterCtx(ctx, g, labels, m, budgetBits,
 		distributed.PegasusSummarizer(core.Config(cfg)), distributed.BuildOpts{

@@ -1,8 +1,8 @@
 // Command pegasus-bench tracks the perf trajectory of the repo's hot paths
-// across PRs. It times (a) sequential vs parallel builds of a single-graph
-// summary and of a 4-shard Alg. 3 cluster, (b) incremental vs full cluster
-// rebuilds after a 1-of-m-shards targets change, the content-key reuse
-// behind hot POST /v1/summarize reconfiguration, (c) cold vs warm cluster
+// across PRs. It times (a) sequential vs concurrent shard builds of a
+// 4-shard Alg. 3 cluster, (b) incremental vs full cluster rebuilds after a
+// 1-of-m-shards targets change, the content-key reuse behind hot
+// POST /v1/summarize reconfiguration, (c) cold vs warm cluster
 // starts, where the warm arm decodes every shard artifact from a populated
 // disk store (the cache dir behind pegasus-serve -cache-dir) instead of
 // summarizing, and (d) a scale section: the full real-graph serving path —
@@ -69,8 +69,7 @@ type Report struct {
 	Results []Result `json:"results"`
 	// SpeedupCluster is parallel-vs-sequential for the sharded build; on a
 	// single-core host it hovers near 1 regardless of implementation.
-	SpeedupCluster   float64 `json:"speedup_cluster"`
-	SpeedupSummarize float64 `json:"speedup_summarize"`
+	SpeedupCluster float64 `json:"speedup_cluster"`
 	// SpeedupIncremental is full-vs-incremental cluster rebuild after a
 	// targets change confined to 1 of m shards: the incremental build
 	// transplants the other m-1 summaries by content key. Both arms run
@@ -119,7 +118,7 @@ func main() {
 		comms       = flag.Int("communities", 4, "benchmark graph community count")
 		shards      = flag.Int("shards", 4, "cluster benchmark shard count")
 		runs        = flag.Int("runs", 3, "timed repetitions per configuration")
-		workers     = flag.Int("workers", 0, "parallel worker count to benchmark against sequential (0 = GOMAXPROCS, floored at the shard count for the cluster build)")
+		workers     = flag.Int("workers", 0, "concurrent shard builds of the parallel cluster arm, benchmarked against one at a time (0 = GOMAXPROCS, floored at the shard count)")
 		budget      = flag.Float64("budget", 0.4, "summary budget as a fraction of Size(G)")
 		seed        = flag.Int64("seed", 1, "graph/partition/summarization seed")
 		minSpeed    = flag.Float64("min-cluster-speedup", 0, "fail unless the cluster build speedup reaches this factor; only enforced when the host has at least `shards` CPUs (0 disables)")
@@ -134,23 +133,15 @@ func main() {
 	)
 	flag.Parse()
 
-	par := *workers
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
+	// The parallel arm builds every shard at once, and never builds one at
+	// a time even on a 1-CPU host, so the two arms never silently collapse
+	// into timings of the identical configuration; the report records the
+	// true core count for interpreting the resulting speedup.
+	clusterPar := *workers
+	if clusterPar == 0 {
+		clusterPar = runtime.GOMAXPROCS(0)
 	}
-	// Keep both parallel arms configured differently from the sequential
-	// arms even on a 1-CPU host, so the two measurements never silently
-	// collapse into timings of the identical configuration; the report
-	// records the true core count for interpreting the resulting speedup.
-	if par < 2 {
-		par = 2
-	}
-	// The acceptance benchmark is "Workers >= 4 on a 4-shard graph"; keep
-	// the parallel arm at >= shards so every shard can build concurrently.
-	clusterPar := par
-	if clusterPar < *shards {
-		clusterPar = *shards
-	}
+	clusterPar = max(clusterPar, *shards, 2)
 
 	g := pegasus.GenerateSBM(*nodes, *comms, 12, 0.05, *seed)
 	g, _ = pegasus.LargestComponent(g)
@@ -173,18 +164,11 @@ func main() {
 
 	buildCluster := func(workers int) (int, error) {
 		c, err := pegasus.BuildSummaryClusterCtx(context.Background(), g, labels, *shards, budgetBits,
-			pegasus.Config{Seed: *seed, Workers: 1}, workers)
+			pegasus.Config{Seed: *seed}, workers)
 		if err != nil {
 			return 0, err
 		}
 		return c.Machines[0].Summary.NumSupernodes(), nil
-	}
-	buildSingle := func(workers int) (int, error) {
-		res, err := pegasus.Summarize(g, pegasus.Config{BudgetBits: budgetBits, Seed: *seed, Workers: workers})
-		if err != nil {
-			return 0, err
-		}
-		return res.Summary.NumSupernodes(), nil
 	}
 
 	bench := func(name string, shards, workers int, fn func(int) (int, error)) Result {
@@ -216,25 +200,20 @@ func main() {
 
 	seqC := bench("cluster_build_sequential", *shards, 1, buildCluster)
 	parC := bench("cluster_build_parallel", *shards, clusterPar, buildCluster)
-	seqS := bench("summarize_sequential", 1, 1, buildSingle)
-	parS := bench("summarize_parallel", 1, par, buildSingle)
-	rep.Results = []Result{seqC, parC, seqS, parS}
+	rep.Results = []Result{seqC, parC}
 	if parC.NsPerOp > 0 {
 		rep.SpeedupCluster = float64(seqC.NsPerOp) / float64(parC.NsPerOp)
 	}
-	if parS.NsPerOp > 0 {
-		rep.SpeedupSummarize = float64(seqS.NsPerOp) / float64(parS.NsPerOp)
-	}
-	if seqC.Supernode != parC.Supernode || seqS.Supernode != parS.Supernode {
+	if seqC.Supernode != parC.Supernode {
 		fatal("parallel and sequential builds disagree on supernode counts — determinism broken")
 	}
 
 	// Incremental vs full rebuild after a 1-of-m-shards targets change.
-	// Both arms run fully sequentially (build workers and engine workers 1)
-	// so the ratio isolates the content-key reuse — on m=4, the incremental
-	// arm rebuilds 1 shard where the full arm rebuilds 4, so the ideal
-	// ratio is ≈m regardless of core count.
-	icfg := pegasus.Config{Seed: *seed, Workers: 1}
+	// Both arms build one shard at a time, so the ratio isolates the
+	// content-key reuse — on m=4, the incremental arm rebuilds 1 shard where
+	// the full arm rebuilds 4, so the ideal ratio is ≈m regardless of core
+	// count.
+	icfg := pegasus.Config{Seed: *seed}
 	prevC, _, err := pegasus.BuildSummaryClusterIncremental(context.Background(), g, labels,
 		*shards, budgetBits, icfg, pegasus.ClusterBuildOptions{Workers: 1})
 	if err != nil {
@@ -408,8 +387,8 @@ func main() {
 	if err := os.WriteFile(*out, raw, 0o644); err != nil {
 		fatal("write %s: %v", *out, err)
 	}
-	fmt.Printf("wrote %s (cluster speedup %.2fx, summarize speedup %.2fx, incremental rebuild %.2fx, warm start %.2fx on %d CPU(s))\n",
-		*out, rep.SpeedupCluster, rep.SpeedupSummarize, rep.SpeedupIncremental, rep.SpeedupWarm, rep.Host.NumCPU)
+	fmt.Printf("wrote %s (cluster speedup %.2fx, incremental rebuild %.2fx, warm start %.2fx on %d CPU(s))\n",
+		*out, rep.SpeedupCluster, rep.SpeedupIncremental, rep.SpeedupWarm, rep.Host.NumCPU)
 
 	if *minSpeed > 0 {
 		if rep.Host.NumCPU < *shards {
@@ -500,7 +479,7 @@ func runScaleArm(name, code string, scale float64, shards, queries int, budget f
 	budgetBits := budget * g.SizeBits()
 	start = time.Now()
 	c, err := pegasus.BuildSummaryClusterCtx(context.Background(), g, labels, shards, budgetBits,
-		pegasus.Config{Seed: seed, Workers: 1}, runtime.GOMAXPROCS(0))
+		pegasus.Config{Seed: seed}, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fatal("%s: cluster build: %v", name, err)
 	}

@@ -55,7 +55,7 @@ func main() {
 		cache    = flag.Int("cache", 4096, "query-result cache entries (negative disables)")
 		workers  = flag.Int("workers", 0, "concurrent query computations (0 = GOMAXPROCS)")
 		batchMax = flag.Int("batch-max", 256, "max query nodes per POST /v1/query/batch request")
-		bworkers = flag.Int("build-workers", 0, "build-pipeline goroutines for startup and hot rebuilds (0 = GOMAXPROCS, 1 = sequential; artifact is identical either way)")
+		bworkers = flag.Int("build-workers", 0, "shard summaries built concurrently at startup and on hot rebuilds (0 = GOMAXPROCS, 1 = one at a time; no effect unsharded, where the one engine is sequential; artifact is identical either way)")
 		cacheDir = flag.String("cache-dir", "", "directory for disk-backed shard artifacts: shards are persisted under their content keys and restarts warm-start from disk instead of rebuilding (empty disables)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-query timeout")
 		slowThr  = flag.Duration("slowlog-threshold", 500*time.Millisecond, "record requests at or above this latency in GET /debug/slowlog with their span timeline (negative disables)")

@@ -34,7 +34,6 @@ func main() {
 		beta    = flag.Float64("beta", 0.1, "adaptive-thresholding parameter (0,1]")
 		tmax    = flag.Int("tmax", 20, "maximum iterations")
 		seed    = flag.Int64("seed", 0, "random seed")
-		workers = flag.Int("workers", 0, "build-pipeline goroutines (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
 		ssummF  = flag.Bool("ssumm", false, "run the SSumM baseline instead of PeGaSus")
 		lcc     = flag.Bool("lcc", true, "reduce to the largest connected component first")
 		stats   = flag.Bool("stats", false, "print per-iteration statistics to stderr")
@@ -59,8 +58,7 @@ func main() {
 	if *ssummF {
 		res, err = pegasus.SummarizeSSumMCtx(ctx, g, pegasus.SSumMConfig{
 			BudgetBits: *bits, BudgetRatio: *ratio, MaxIter: *tmax, Seed: *seed,
-			Workers: *workers,
-			Trace:   trace(*stats),
+			Trace: trace(*stats),
 		})
 	} else {
 		res, err = pegasus.SummarizeCtx(ctx, g, pegasus.Config{
@@ -71,7 +69,6 @@ func main() {
 			BudgetBits:  *bits,
 			BudgetRatio: *ratio,
 			Seed:        *seed,
-			Workers:     *workers,
 			Trace:       trace(*stats),
 		})
 	}

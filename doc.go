@@ -24,14 +24,14 @@
 //
 // # Parallel builds
 //
-// Summarization is parallel end to end: Config.Workers bounds the build
-// pipeline (0 selects GOMAXPROCS), SummarizeCtx aborts mid-build on context
-// cancellation, and BuildSummaryCluster constructs its per-shard summaries
-// concurrently — the §IV scheme is communication-free, so shard builds are
-// independent. Candidate generation (the §III-C shingle grouping) runs as
-// a parallel stable radix sort over packed (shingle, supernode) keys.
-// Every worker count produces bit-identical output for a fixed seed; see
-// DESIGN.md "The parallel build pipeline".
+// One summary is one sequential engine: PeGaSus's merge loop (Alg. 1–2)
+// is sequential by design, and SummarizeCtx aborts mid-build on context
+// cancellation. The parallelism is one level up, where the paper puts it:
+// BuildSummaryCluster constructs its per-shard summaries concurrently
+// (ClusterBuildOptions.Workers of them at once) — the §IV scheme is
+// communication-free, so shard builds are independent. Every worker count
+// produces bit-identical output for a fixed seed; see DESIGN.md "The
+// parallel build pipeline".
 //
 // # Serving
 //

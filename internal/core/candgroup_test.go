@@ -45,7 +45,7 @@ func groupsEqual(a, b [][]uint32) bool {
 }
 
 // TestSortGroupingMatchesLegacyMap is the tentpole equivalence property:
-// for every graph shape, seed, worker count and iteration — on the
+// for every graph shape, seed and iteration — on the
 // singleton state and after merges have killed slots — the sort-based
 // pipeline must emit byte for byte the groups of the retained map-based
 // reference. K20 forces the failed-split path (all closed neighborhoods
@@ -73,45 +73,22 @@ func TestSortGroupingMatchesLegacyMap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, seed := range tc.seeds {
-			for _, workers := range []int{1, 2, 8} {
-				cfg := tc.cfg
-				cfg.Seed = seed
-				cfg.Workers = workers
-				e := newTestEngine(t, tc.g, cfg)
-				// Kill a few slots so members/dead-slot handling is exercised.
-				e.performMerge(0, 1)
-				e.performMerge(2, 3)
-				for iter := 1; iter <= 3; iter++ {
-					e.rng = rand.New(rand.NewSource(seed))
-					want := e.candidateGroupsLegacyMap(context.Background(), iter)
-					e.rng = rand.New(rand.NewSource(seed))
-					got := e.candidateGroups(context.Background(), iter)
-					if !groupsEqual(got, want) {
-						t.Fatalf("%s seed %d workers %d iter %d: sort-based groups differ from legacy map (%d vs %d groups)",
-							tc.name, seed, workers, iter, len(got), len(want))
-					}
+			cfg := tc.cfg
+			cfg.Seed = seed
+			e := newTestEngine(t, tc.g, cfg)
+			// Kill a few slots so members/dead-slot handling is exercised.
+			e.performMerge(0, 1)
+			e.performMerge(2, 3)
+			for iter := 1; iter <= 3; iter++ {
+				e.rng = rand.New(rand.NewSource(seed))
+				want := e.candidateGroupsLegacyMap(context.Background(), iter)
+				e.rng = rand.New(rand.NewSource(seed))
+				got := e.candidateGroups(context.Background(), iter)
+				if !groupsEqual(got, want) {
+					t.Fatalf("%s seed %d iter %d: sort-based groups differ from legacy map (%d vs %d groups)",
+						tc.name, seed, iter, len(got), len(want))
 				}
 			}
-		}
-	}
-}
-
-// TestSortGroupingWorkerCountInvariant: the production pipeline itself must
-// be worker-count invariant (the legacy comparison above implies it, but
-// this pins the property directly on the shipped path).
-func TestSortGroupingWorkerCountInvariant(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 4, 2)
-	var want [][]uint32
-	for _, workers := range []int{1, 2, 8} {
-		e := newTestEngine(t, g, Config{Seed: 11, Workers: workers})
-		e.rng = rand.New(rand.NewSource(11))
-		got := e.candidateGroups(context.Background(), 2)
-		if workers == 1 {
-			want = got
-			continue
-		}
-		if !groupsEqual(got, want) {
-			t.Fatalf("workers %d: groups differ from the Workers=1 output", workers)
 		}
 	}
 }

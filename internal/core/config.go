@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"pegasus/internal/graph"
 	"pegasus/internal/summary"
@@ -54,11 +53,15 @@ type IterStats struct {
 	SizeBits   float64 // Eq. (3) after the iteration
 	Merges     int     // merges performed this iteration
 	Rejections int     // failed merge attempts this iteration (|L| growth)
-	Groups     int     // candidate groups processed
+	Groups     int     // candidate groups generated (merging stops once within budget)
 
-	// MassAccumulations counts the slot mass accumulations of the
-	// iteration's merge rounds, and NeighborVisits the adjacency entries
-	// they read. Both are exact and the same for every worker count.
+	// MergeRounds counts the iteration's merge rounds (one sampled batch
+	// of |Ci| pairs each, Alg. 2) and PairsScored the distinct pairs they
+	// evaluated. MassAccumulations counts the slot mass accumulations of
+	// those rounds, and NeighborVisits the adjacency entries they read.
+	// All four are exact: they repeat for a fixed graph and config.
+	MergeRounds       int
+	PairsScored       int
 	MassAccumulations int
 	NeighborVisits    int
 }
@@ -81,12 +84,6 @@ type Config struct {
 	BudgetRatio float64
 	// Seed drives all randomness (hash functions, pair sampling).
 	Seed int64
-	// Workers bounds the goroutines used by the parallel build pipeline
-	// (shingle computation, engine initialization, candidate-pair scoring).
-	// 0 selects runtime.GOMAXPROCS(0); 1 forces the fully sequential path.
-	// The pipeline is worker-count invariant: every value of Workers yields
-	// bit-identical summaries for a fixed seed (see DESIGN.md).
-	Workers int
 	// MaxGroupSize caps candidate group sizes (default 500, §III-C).
 	MaxGroupSize int
 	// MaxSplitDepth caps recursive shingle splitting (default 10, §III-C).
@@ -124,15 +121,17 @@ func (c Config) withDefaults(g *graph.Graph) (Config, error) {
 	if c.Alpha == 0 {
 		c.Alpha = defaultAlpha
 	}
-	if c.Alpha < 1 {
-		return c, fmt.Errorf("core: alpha must be >= 1, got %v", c.Alpha)
+	// NaN fails every comparison and +Inf passes them, so the real-valued
+	// knobs are checked for finiteness first: a NaN α or budget would run
+	// the whole build against a meaningless objective or bit budget.
+	if !isFinite(c.Alpha) || c.Alpha < 1 {
+		return c, fmt.Errorf("core: alpha must be finite and >= 1, got %v", c.Alpha)
 	}
 	if c.Beta == 0 {
 		c.Beta = defaultBeta
 	}
-	// NaN fails every comparison, so it must be rejected explicitly: a NaN
-	// Beta would silently degenerate the θ schedule (threshold.go clamps the
-	// selection index but never re-validates Beta).
+	// A NaN Beta would silently degenerate the θ schedule (threshold.go
+	// clamps the selection index but never re-validates Beta).
 	if math.IsNaN(c.Beta) || c.Beta < 0 || c.Beta > 1 {
 		return c, fmt.Errorf("core: beta must be in (0,1], got %v", c.Beta)
 	}
@@ -146,19 +145,13 @@ func (c Config) withDefaults(g *graph.Graph) (Config, error) {
 		if c.BudgetRatio == 0 {
 			c.BudgetRatio = 0.5
 		}
-		if c.BudgetRatio < 0 {
-			return c, fmt.Errorf("core: BudgetRatio must be positive, got %v", c.BudgetRatio)
+		if !isFinite(c.BudgetRatio) || c.BudgetRatio < 0 {
+			return c, fmt.Errorf("core: BudgetRatio must be finite and positive, got %v", c.BudgetRatio)
 		}
 		c.BudgetBits = c.BudgetRatio * g.SizeBits()
 	}
-	if c.BudgetBits < 0 {
-		return c, fmt.Errorf("core: BudgetBits must be non-negative, got %v", c.BudgetBits)
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers < 1 {
-		return c, fmt.Errorf("core: Workers must be >= 1 (or 0 for GOMAXPROCS), got %d", c.Workers)
+	if !isFinite(c.BudgetBits) || c.BudgetBits < 0 {
+		return c, fmt.Errorf("core: BudgetBits must be finite and non-negative, got %v", c.BudgetBits)
 	}
 	if c.MaxGroupSize == 0 {
 		c.MaxGroupSize = defaultMaxGroupSize
@@ -186,11 +179,12 @@ func (c Config) withDefaults(g *graph.Graph) (Config, error) {
 	return c, nil
 }
 
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // ContentKey returns a canonical serialization of the configuration fields
 // that determine summarization output for a fixed graph, target set and
 // budget — every field except Targets, BudgetBits and BudgetRatio (supplied
-// per shard by cluster builds) and the output-invariant knobs Workers and
-// Trace (the build pipeline is worker-count invariant; see DESIGN.md).
+// per shard by cluster builds) and Trace, which only observes the build.
 // Zero-valued fields are normalized to the paper defaults first, so a zero
 // config and an explicitly-spelled-default config share one key.
 //

@@ -120,8 +120,7 @@ func (eng *engine) supernodeCost(a uint32, m slotMass, pos []int32) float64 {
 // evaluateMergeInto computes the cost reduction of merging slot b into slot a,
 // whose masses and Cost_A the memo entries ea and eb hold: Eq. (10)
 // (absolute) and Eq. (11) (relative). It only reads the engine state and
-// the entries and writes pos (all zero on entry and on return), so workers
-// with distinct pos arrays may evaluate distinct pairs concurrently.
+// the entries and writes pos (all zero on entry and on return).
 func (eng *engine) evaluateMergeInto(ea, eb *massEntry, pos []int32) (rel, abs float64) {
 	a, b := ea.slot, eb.slot
 	costC, dmAB := eng.mergedCost(a, b, ea.slotMass, eb.slotMass, pos)
@@ -250,7 +249,7 @@ func (eng *engine) performMergeWith(a, b uint32, ma, mb slotMass) {
 
 	// The same walk as mergedCost: pos indexes mb's keys, and shared keys
 	// are negated in ma's loop.
-	pos := eng.scorer.scratchFor(0, len(eng.superOf)).pos
+	pos := eng.scorer.pos
 	for i, x := range mb.keys {
 		pos[x] = int32(i + 1)
 	}

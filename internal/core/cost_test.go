@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"pegasus/internal/gen"
@@ -18,13 +19,13 @@ import (
 // masses and Cost_A computed afresh.
 func (e *engine) evaluateMerge(a, b uint32) (rel, abs float64) {
 	en := e.freshEntries(a, b)
-	return e.evaluateMergeInto(&en[0], &en[1], e.scorer.scratch[0].pos)
+	return e.evaluateMergeInto(&en[0], &en[1], e.scorer.pos)
 }
 
 // performMerge merges b into a outside any merge round, from masses
 // accumulated afresh into the emptied memo's arena.
 func (e *engine) performMerge(a, b uint32) {
-	m, pos := &e.scorer.memo, e.scorer.scratchFor(0, len(e.superOf)).pos
+	m, pos := &e.scorer.memo, e.scorer.pos
 	e.scorer.begin(nil)
 	ma := e.accumulateMass(a, m, pos)
 	mb := e.accumulateMass(b, m, pos)
@@ -35,7 +36,7 @@ func (e *engine) performMerge(a, b uint32) {
 // any merge round. It empties the memo and accumulates into its arena, so
 // the entries are valid until the next call, merge or merge round.
 func (e *engine) freshEntries(slots ...uint32) []massEntry {
-	m, pos := &e.scorer.memo, e.scorer.scratchFor(0, len(e.superOf)).pos
+	m, pos := &e.scorer.memo, e.scorer.pos
 	e.scorer.begin(nil)
 	out := make([]massEntry, len(slots))
 	for i, x := range slots {
@@ -50,7 +51,11 @@ func (e *engine) freshEntries(slots ...uint32) []massEntry {
 // bit: after every merge round, each entry the next round may reuse must
 // equal a fresh computation for its slot. That covers the masses of every
 // fresh entry (keys in first-visit order, values bit for bit) and the
-// Cost_A of every entry tagged with the current epoch.
+// Cost_A of every entry tagged with the current epoch. A workers=N case
+// builds N engines at once over the one graph, as N concurrent shard builds
+// do, engine k seeded with the config's seed + k, and checks every engine's
+// memo; under -race it also shows that the engines share the graph
+// read-only.
 func TestCostMemoMatchesFromScratch(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":  gen.BarabasiAlbert(300, 4, 3),
@@ -66,31 +71,58 @@ func TestCostMemoMatchesFromScratch(t *testing.T) {
 		for _, cname := range slices.Sorted(maps.Keys(cfgs)) {
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", gname, cname, workers), func(t *testing.T) {
-					cfg := cfgs[cname]
-					cfg.Workers = workers
-					checkMemoEveryRound(t, newTestEngine(t, graphs[gname], cfg))
+					checkMemoConcurrently(t, graphs[gname], cfgs[cname], workers)
 				})
 			}
 		}
 	}
-	// Random groups of 500 slots give rounds past minParallelPairs, so the
-	// memo is also read by several workers at once.
+	// Random groups of 500 slots give the largest groups and rounds.
 	g := gen.BarabasiAlbert(600, 4, 5)
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("ba600/randomgroups/workers=%d", workers), func(t *testing.T) {
-			checkMemoEveryRound(t, newTestEngine(t, g, Config{BudgetRatio: 0.4, Seed: 13, Workers: workers, RandomGroups: true}))
+			checkMemoConcurrently(t, g, Config{BudgetRatio: 0.4, Seed: 13, RandomGroups: true}, workers)
 		})
 	}
 }
 
-// checkMemoEveryRound runs the first iterations of Alg. 1 on e and checks
-// the memo after each merge round.
-func checkMemoEveryRound(t *testing.T, e *engine) {
+// checkMemoConcurrently builds n engines over g at once, engine k seeded
+// with cfg.Seed+k, and checks each engine's memo after every merge round.
+func checkMemoConcurrently(t *testing.T, g *graph.Graph, cfg Config, n int) {
 	t.Helper()
+	engines := make([]*engine, n)
+	for k := range engines {
+		c := cfg
+		c.Seed += int64(k)
+		engines[k] = newTestEngine(t, g, c)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for k, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = checkMemoEveryRound(e)
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Errorf("engine %d (seed %d): %v", k, cfg.Seed+int64(k), err)
+		}
+	}
+}
+
+// checkMemoEveryRound runs the first iterations of Alg. 1 on e and checks
+// the memo after each merge round, returning the first mismatch.
+func checkMemoEveryRound(e *engine) error {
 	pos := make([]int32, len(e.superOf))
 	rounds, masses, costs := 0, 0, 0
+	var err error
 	e.afterRound = func() {
 		rounds++
+		if err != nil {
+			return
+		}
 		for _, en := range e.scorer.memo.entries {
 			if !en.fresh && en.epoch != e.epoch {
 				continue
@@ -99,31 +131,34 @@ func checkMemoEveryRound(t *testing.T, e *engine) {
 			want := e.accumulateMass(en.slot, &scratch, pos)
 			if en.fresh {
 				if !slices.Equal(en.keys, want.keys) || !slices.EqualFunc(en.vals, want.vals, sameBits) {
-					t.Fatalf("round %d, slot %d: memoized masses %v %v, from scratch %v %v",
+					err = fmt.Errorf("round %d, slot %d: memoized masses %v %v, from scratch %v %v",
 						rounds, en.slot, en.keys, en.vals, want.keys, want.vals)
+					return
 				}
 				masses++
 			}
 			if en.epoch == e.epoch {
 				if want := e.supernodeCost(en.slot, want, pos); !sameBits(en.cost, want) {
-					t.Fatalf("round %d, slot %d: memoized Cost_A %v, from scratch %v",
+					err = fmt.Errorf("round %d, slot %d: memoized Cost_A %v, from scratch %v",
 						rounds, en.slot, en.cost, want)
+					return
 				}
 				costs++
 			}
 		}
 	}
 	theta := e.cfg.Threshold.Initial()
-	for it := 1; it <= 4 && e.sizeBits() > e.cfg.BudgetBits; it++ {
+	for it := 1; it <= 4 && e.sizeBits() > e.cfg.BudgetBits && err == nil; it++ {
 		var rejected []float64
 		for _, grp := range e.candidateGroups(context.Background(), it) {
 			e.mergeGroup(grp, theta, &rejected)
 		}
 		theta = e.cfg.Threshold.Next(it, rejected, theta)
 	}
-	if masses == 0 || costs == 0 {
-		t.Fatalf("%d rounds left no memo entry to check (%d masses, %d costs)", rounds, masses, costs)
+	if err == nil && (masses == 0 || costs == 0) {
+		err = fmt.Errorf("%d rounds left no memo entry to check (%d masses, %d costs)", rounds, masses, costs)
 	}
+	return err
 }
 
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
@@ -156,7 +191,7 @@ func TestMergeReductionMatchesBruteForce(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			targets = graph.SampleNodes(g, 1+rng.Intn(4), seed)
 		}
-		e := newTestEngine(t, g, Config{Targets: targets, Alpha: 1 + rng.Float64(), Seed: seed, Workers: 1})
+		e := newTestEngine(t, g, Config{Targets: targets, Alpha: 1 + rng.Float64(), Seed: seed})
 		w, err := weights.New(g, e.cfg.Targets, e.cfg.Alpha)
 		if err != nil {
 			t.Fatal(err)

@@ -56,8 +56,8 @@ type engine struct {
 	sorter      par.KeySorter
 
 	// scorer holds the batched-round state of mergeGroup: the sampled pairs
-	// of the current round, the current group's mass memo and the
-	// per-worker evaluation scratch.
+	// of the current round, the current group's mass memo and the dense
+	// slot index the O(deg) walks share.
 	scorer roundScorer
 
 	// afterRound, when set, runs after every merge round (a test hook for
@@ -99,6 +99,7 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 	}
 	e.setLogS()
 	e.scorer.memo.index = make([]int32, n)
+	e.scorer.pos = make([]int32, n)
 	// The singleton superedge lists are the (sorted) adjacency lists, copied
 	// into one backing array. Each list is capped at its own length, so an
 	// insert reallocates that list alone and a delete shifts only within it.
@@ -108,21 +109,17 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 	}
 	flat := make([]uint32, offsets[n])
 	invSqrtZ := 1 / math.Sqrt(w.Z)
-	// Each index writes only its own slots, so the singleton initialization
-	// is range-shardable; the result is identical for any worker count.
-	par.Range(cfg.Workers, n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			p := w.Pi[u] * invSqrtZ
-			e.pi[u] = p
-			e.superOf[u] = uint32(u)
-			e.members[u] = []graph.NodeID{graph.NodeID(u)}
-			e.sumPi[u] = p
-			e.sumPiSq[u] = p * p
-			se := flat[offsets[u]:offsets[u+1]:offsets[u+1]]
-			copy(se, g.Neighbors(graph.NodeID(u)))
-			e.sedges[u] = se
-		}
-	})
+	for u := 0; u < n; u++ {
+		p := w.Pi[u] * invSqrtZ
+		e.pi[u] = p
+		e.superOf[u] = uint32(u)
+		e.members[u] = []graph.NodeID{graph.NodeID(u)}
+		e.sumPi[u] = p
+		e.sumPiSq[u] = p * p
+		se := flat[offsets[u]:offsets[u+1]:offsets[u+1]]
+		copy(se, g.Neighbors(graph.NodeID(u)))
+		e.sedges[u] = se
+	}
 	return e
 }
 

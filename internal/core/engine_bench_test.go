@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"pegasus/internal/gen"
@@ -35,7 +34,7 @@ var evalSink float64
 func BenchmarkEvaluateMerge(b *testing.B) {
 	e := benchEngine(b, 5000, 4)
 	entries := e.freshEntries(e.aliveSlots()...)
-	pos := e.scorer.scratch[0].pos
+	pos := e.scorer.pos
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := i % 5000
@@ -54,22 +53,6 @@ func BenchmarkCandidateGroups(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.candidateGroups(context.Background(), i+1)
-	}
-}
-
-// BenchmarkSummarizeWorkers measures a full summarization at different
-// engine parallelism levels; every level produces the same summary, so the
-// deltas are pure pipeline overhead/speedup.
-func BenchmarkSummarizeWorkers(b *testing.B) {
-	g := gen.BarabasiAlbert(3000, 4, 1)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Summarize(g, Config{BudgetRatio: 0.4, Seed: 7, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -4,11 +4,11 @@ import "math"
 
 // mergeGroup runs the merging-and-addition step (Alg. 2) on one candidate
 // group: each round samples |Ci| supernode pairs, scores the distinct ones
-// (in parallel when the round is large, see scorer.go), takes the pair
-// maximizing the cost reduction, merges it if the reduction clears the
-// threshold θ, and otherwise records the rejected reduction in L. The group
-// is abandoned after log2|Ci| consecutive failures. Returns the number of
-// merges performed; rejected reductions are appended to *rejected.
+// (scorer.go), takes the pair maximizing the cost reduction, merges it if
+// the reduction clears the threshold θ, and otherwise records the rejected
+// reduction in L. The group is abandoned after log2|Ci| consecutive
+// failures. Returns the number of merges performed; rejected reductions
+// are appended to *rejected.
 //
 // Two legacy defects are fixed here while preserving the exact RNG stream
 // and argmax selection of the original sequential loop: re-drawn (a,b)
@@ -36,22 +36,21 @@ func (e *engine) mergeGroup(group []uint32, theta float64, rejected *[]float64) 
 			samples = append(samples, pairSample{a: group[ai], b: group[bi]})
 		}
 		e.scorer.samples = samples
-		win := e.scoreRound(e.scorer.dedupe(samples))
-		if win == nil {
+		best, score, ok := e.scoreRound(e.scorer.dedupe(samples))
+		if !ok {
 			break
 		}
 		// The threshold compares against the same statistic that ranked the
 		// pair; under AbsoluteCost the scale differs but the adaptive policy
 		// tracks it automatically via L.
-		if win.bestScore >= theta {
+		if score >= theta {
 			m := &e.scorer.memo
-			a, b := win.best.a, win.best.b
-			e.performMergeWith(a, b, m.entry(a).slotMass, m.entry(b).slotMass)
-			removeSlot(&group, b)
+			e.performMergeWith(best.a, best.b, m.entry(best.a).slotMass, m.entry(best.b).slotMass)
+			removeSlot(&group, best.b)
 			merges++
 			fails = 0
 		} else {
-			*rejected = append(*rejected, win.bestScore)
+			*rejected = append(*rejected, score)
 			fails++
 		}
 		if e.afterRound != nil {

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"hash/fnv"
-	"maps"
 	"math"
 	"reflect"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -47,15 +45,15 @@ func fingerprintSummary(s *summary.Summary) uint64 {
 }
 
 // Golden fingerprints of the sequential implementation (captured from the
-// pre-parallelization merge loop after the BarabasiAlbert generator was made
-// deterministic). They pin down "Workers=1 is bit-identical to the legacy
-// sequential path": any change to sampling, deduplication, scoring order or
-// mass reuse that alters the result breaks these.
+// legacy merge loop after the BarabasiAlbert generator was made
+// deterministic). They pin the engine to the legacy sequential path: any
+// change to sampling, deduplication, scoring order or mass reuse that
+// alters the result breaks these.
 func TestSequentialGoldens(t *testing.T) {
 	t.Run("ba400-uniform", func(t *testing.T) {
 		g := gen.BarabasiAlbert(400, 3, 1)
 		var merges []int
-		res, err := Summarize(g, Config{BudgetRatio: 0.4, Seed: 42, Workers: 1,
+		res, err := Summarize(g, Config{BudgetRatio: 0.4, Seed: 42,
 			Trace: func(s IterStats) { merges = append(merges, s.Merges) }})
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +75,7 @@ func TestSequentialGoldens(t *testing.T) {
 		lcc, _ := graph.LargestComponent(g)
 		var merges []int
 		res, err := Summarize(lcc, Config{Targets: []graph.NodeID{0, 1, 2}, Alpha: 1.5,
-			BudgetRatio: 0.35, Seed: 7, Workers: 1,
+			BudgetRatio: 0.35, Seed: 7,
 			Trace: func(s IterStats) { merges = append(merges, s.Merges) }})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +90,7 @@ func TestSequentialGoldens(t *testing.T) {
 	})
 	t.Run("ssumm300-preset", func(t *testing.T) {
 		g := gen.BarabasiAlbert(300, 4, 9)
-		res, err := Summarize(g, Config{BudgetRatio: 0.3, Seed: 11, Workers: 1,
+		res, err := Summarize(g, Config{BudgetRatio: 0.3, Seed: 11,
 			Encoding: BestOfTwo, Threshold: FixedSchedule{TMax: 20}, Alpha: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +107,7 @@ func TestSequentialGoldens(t *testing.T) {
 		var merges []int
 		res, err := Summarize(g, Config{
 			Targets: []graph.NodeID{235, 261, 454, 687, 705, 883, 952, 1261, 1388, 1803},
-			Alpha:   1.25, BudgetRatio: 0.5, Seed: 8, Workers: 1,
+			Alpha:   1.25, BudgetRatio: 0.5, Seed: 8,
 			Trace: func(s IterStats) { merges = append(merges, s.Merges) }})
 		if err != nil {
 			t.Fatal(err)
@@ -124,71 +122,37 @@ func TestSequentialGoldens(t *testing.T) {
 	})
 }
 
-// TestWorkerCountInvariance is the tentpole determinism property: the same
-// seed yields the same summary at every worker count, because parallelism
-// only reorders read-only scoring work, never the RNG stream or the argmax.
-func TestWorkerCountInvariance(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"ba":  gen.BarabasiAlbert(500, 3, 2),
-		"sbm": gen.PlantedPartition(gen.SBMConfig{Nodes: 400, Communities: 4, AvgDegree: 14, MixingP: 0.1}, 3),
-	}
-	cfgs := map[string]Config{
-		"uniform":      {BudgetRatio: 0.35, Seed: 17},
-		"personalized": {Targets: []graph.NodeID{1, 2, 3}, Alpha: 1.5, BudgetRatio: 0.3, Seed: 23},
-		"abscost":      {BudgetRatio: 0.4, Seed: 29, CostMode: AbsoluteCost},
-		// Random groups of MaxGroupSize slots give rounds past
-		// minParallelPairs, so the scoring fans out.
-		"randomgroups": {BudgetRatio: 0.35, Seed: 31, RandomGroups: true, MaxIter: 4},
-	}
-	for _, gname := range slices.Sorted(maps.Keys(graphs)) {
-		g := graphs[gname]
-		for _, cname := range slices.Sorted(maps.Keys(cfgs)) {
-			cfg := cfgs[cname]
-			cfg.Workers = 1
-			ref, err := Summarize(g, cfg)
-			if err != nil {
-				t.Fatalf("%s/%s workers=1: %v", gname, cname, err)
-			}
-			want := fingerprintSummary(ref.Summary)
-			for _, w := range []int{2, 4, 8} {
-				cfg.Workers = w
-				res, err := Summarize(g, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", gname, cname, w, err)
-				}
-				if got := fingerprintSummary(res.Summary); got != want {
-					t.Errorf("%s/%s: workers=%d fingerprint %#x != workers=1 fingerprint %#x",
-						gname, cname, w, got, want)
-				}
-				if res.Iterations != ref.Iterations || res.DroppedSuperedges != ref.DroppedSuperedges ||
-					res.FinalTheta != ref.FinalTheta {
-					t.Errorf("%s/%s: workers=%d result metadata differs from workers=1", gname, cname, w)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelSummarizeRace exercises concurrent engines sharing one input
-// graph under the race detector: parallel scoring must only read shared
-// state.
+// TestParallelSummarizeRace runs concurrent engines over one shared input
+// graph, as concurrent shard builds do, under the race detector: an engine
+// must only read the graph. Each build must also match the same build run
+// alone.
 func TestParallelSummarizeRace(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 5)
+	cfgs := make([]Config, 4)
+	for i := range cfgs {
+		cfgs[i] = Config{Targets: []graph.NodeID{graph.NodeID(i)}, BudgetRatio: 0.4, Seed: int64(i), RandomGroups: i%2 == 1}
+	}
 	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
+	got := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	for i, cfg := range cfgs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			// Odd builds use random groups, whose rounds are large enough
-			// to fan out.
-			_, errs[i] = Summarize(g, Config{BudgetRatio: 0.4, Seed: int64(i), Workers: 4, RandomGroups: i%2 == 1})
-		}(i)
+			got[i], errs[i] = Summarize(g, cfg)
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent summarize %d: %v", i, errs[i])
+		}
+		alone, err := Summarize(g, cfg)
 		if err != nil {
-			t.Errorf("concurrent summarize %d: %v", i, err)
+			t.Fatal(err)
+		}
+		if fingerprintSummary(got[i].Summary) != fingerprintSummary(alone.Summary) {
+			t.Errorf("build %d differs when run beside the others", i)
 		}
 	}
 }
@@ -202,14 +166,34 @@ func TestSummarizeCtxCancellation(t *testing.T) {
 	}
 }
 
-func TestConfigRejectsNaNBetaAndBadWorkers(t *testing.T) {
-	g := gen.BarabasiAlbert(50, 2, 12)
+// TestConfigRejectsNonFiniteValues: NaN fails every range comparison and
+// +Inf passes the lower bounds, so each must be rejected explicitly. A NaN
+// α would run every iteration without a merge and report the budget met,
+// and a NaN budget would return the unsummarized graph.
+func TestConfigRejectsNonFiniteValues(t *testing.T) {
+	g := gen.BarabasiAlbert(200, 3, 12)
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, cfg := range []Config{
-		{Beta: math.NaN()},
-		{Workers: -1},
+		{Beta: nan},
+		{Alpha: nan},
+		{Alpha: inf},
+		{Alpha: -inf},
+		{BudgetRatio: nan},
+		{BudgetRatio: inf},
+		{BudgetRatio: -inf},
+		{BudgetBits: nan},
+		{BudgetBits: inf},
+		{BudgetBits: -inf},
 	} {
-		if _, err := Summarize(g, cfg); err == nil {
-			t.Errorf("invalid config accepted: %+v", cfg)
+		if _, err := cfg.withDefaults(g); err == nil {
+			t.Errorf("withDefaults accepted invalid config %+v", cfg)
 		}
+		if _, err := Summarize(g, cfg); err == nil {
+			t.Errorf("Summarize accepted invalid config %+v", cfg)
+		}
+	}
+	// SummarizeNonPersonalized sets α itself but must still check the budget.
+	if _, err := SummarizeNonPersonalized(g, Config{BudgetRatio: nan}); err == nil {
+		t.Error("SummarizeNonPersonalized accepted a NaN BudgetRatio")
 	}
 }

@@ -17,14 +17,13 @@ func Summarize(g *graph.Graph, cfg Config) (*Result, error) {
 
 // SummarizeCtx is Summarize with cooperative cancellation: the engine checks
 // ctx between candidate groups and returns ctx.Err() as soon as it fires.
-// cfg.Workers bounds the goroutines of the parallel build pipeline.
 func SummarizeCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	cfg, err := cfg.withDefaults(g)
 	if err != nil {
 		return nil, err
 	}
 	_, sp := obs.StartSpan(ctx, "build.weights")
-	w, err := weights.NewParallel(g, cfg.Targets, cfg.Alpha, cfg.Workers)
+	w, err := weights.New(g, cfg.Targets, cfg.Alpha)
 	sp.AttrInt("nodes", g.NumNodes())
 	sp.End()
 	if err != nil {
@@ -50,8 +49,9 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 		csp.End()
 		var rejected []float64
 		merges := 0
-		memo := &eng.scorer.memo
-		accums0, visits0 := memo.accumulations, memo.visits
+		sc := &eng.scorer
+		rounds0, pairs0 := sc.rounds, sc.pairs
+		accums0, visits0 := sc.memo.accumulations, sc.memo.visits
 		_, msp := obs.StartSpan(ctx, "build.merge")
 		for _, grp := range groups {
 			if err := ctx.Err(); err != nil {
@@ -62,9 +62,14 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 				break
 			}
 		}
-		accums, visits := memo.accumulations-accums0, memo.visits-visits0
+		rounds, pairs := sc.rounds-rounds0, sc.pairs-pairs0
+		accums, visits := sc.memo.accumulations-accums0, sc.memo.visits-visits0
 		msp.AttrInt("iteration", t)
+		msp.AttrInt("groups", len(groups))
+		msp.AttrInt("rounds", rounds)
+		msp.AttrInt("pairs_scored", pairs)
 		msp.AttrInt("merges", merges)
+		msp.AttrInt("rejections", len(rejected))
 		msp.AttrInt("mass_accumulations", accums)
 		msp.AttrInt("neighbor_visits", visits)
 		msp.End()
@@ -79,6 +84,8 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 				Rejections: len(rejected),
 				Groups:     len(groups),
 
+				MergeRounds:       rounds,
+				PairsScored:       pairs,
 				MassAccumulations: accums,
 				NeighborVisits:    visits,
 			})

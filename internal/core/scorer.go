@@ -1,50 +1,16 @@
 package core
 
-import (
-	"math"
+import "math"
 
-	"pegasus/internal/par"
-)
-
-// Parallel candidate-pair scoring over a per-group mass memo. mergeGroup
-// batches each round: it first draws the round's samples from the engine
-// RNG (sequentially, preserving the exact stream of the legacy loop),
-// dedupes re-drawn pairs, brings the memo entries of the round's slots up to
-// date on the calling goroutine, and then scores the unique pairs —
-// concurrently when the round is large enough. Scoring is read-only on the
-// engine and the memo; the merge commit stays on the main goroutine. The
-// argmax is selected by (score, first-drawn index), which reproduces the
-// legacy "strictly greater wins" scan for every worker count, so summaries
-// are bit-identical at Workers=1 and Workers=N (see DESIGN.md).
-
-// minParallelPairs gates the parallel scoring: below this many unique
-// candidate pairs the round is scored inline. With the memo an evaluation
-// costs a few microseconds, and on a 2-vCPU host no smaller gate kept
-// Workers=2 from running slower than Workers=1 (DESIGN.md, "The parallel
-// build pipeline").
-const minParallelPairs = 256
+// Candidate-pair scoring over a per-group mass memo. mergeGroup batches
+// each round: it first draws the round's samples from the engine RNG
+// (preserving the exact stream of the legacy loop), dedupes re-drawn pairs,
+// brings the memo entries of the round's slots up to date, and then scores
+// the unique pairs in draw order, keeping the first pair with the strictly
+// greatest score — the legacy sequential scan (see DESIGN.md).
 
 // pairSample is one sampled ordered candidate pair (merge b into a).
 type pairSample struct{ a, b uint32 }
-
-// evalScratch is one worker's private scoring state: a dense slot index
-// for the O(deg) walks and the worker-local best pair of the round.
-type evalScratch struct {
-	pos []int32 // slot -> index scratch; all zero between uses
-
-	bestScore float64
-	bestIdx   int // index into the round's unique pairs; -1 = none accepted
-	best      pairSample
-}
-
-func newEvalScratch(slots int) *evalScratch {
-	return &evalScratch{pos: make([]int32, slots)}
-}
-
-func (s *evalScratch) reset() {
-	s.bestScore = math.Inf(-1)
-	s.bestIdx = -1
-}
 
 // massEntry memoizes one slot of the current candidate group: its masses,
 // exact while fresh, and its Cost_A, exact while epoch is the engine's.
@@ -99,7 +65,11 @@ type roundScorer struct {
 	// (0 ends either). head is all zero between rounds.
 	head, next []int32
 	memo       massMemo
-	scratch    []*evalScratch
+	// pos is the dense slot index of the O(deg) walks (accumulateMass,
+	// supernodeCost, mergedCost, performMergeWith); all zero between uses.
+	pos []int32
+
+	rounds, pairs int // merge rounds scored and the unique pairs they evaluated
 }
 
 // begin resets the memo for a new candidate group: one stale entry per
@@ -148,19 +118,11 @@ func (sc *roundScorer) dedupe(samples []pairSample) []pairSample {
 	return unique
 }
 
-func (sc *roundScorer) scratchFor(k, slots int) *evalScratch {
-	for len(sc.scratch) <= k {
-		sc.scratch = append(sc.scratch, newEvalScratch(slots))
-	}
-	return sc.scratch[k]
-}
-
 // fill brings the memo entry of every slot the round's pairs name up to
 // date: each entry whose Cost_A predates the current epoch is recomputed
 // once, after accumulating its masses again when a merge made them stale.
 func (e *engine) fill(pairs []pairSample) {
-	m := &e.scorer.memo
-	pos := e.scorer.scratchFor(0, len(e.superOf)).pos
+	m, pos := &e.scorer.memo, e.scorer.pos
 	for _, p := range pairs {
 		for _, x := range [2]uint32{p.a, p.b} {
 			en := m.entry(x)
@@ -175,58 +137,25 @@ func (e *engine) fill(pairs []pairSample) {
 	}
 }
 
-// observe folds the evaluation of pair p (at first-drawn index idx) into the
-// worker-local best. Ties on score keep the lowest index, matching the
-// first-wins semantics of the legacy sequential scan regardless of the order
-// in which a worker happens to process its share of the round.
-func (e *engine) observe(s *evalScratch, idx int, p pairSample) {
-	m := &e.scorer.memo
-	rel, abs := e.evaluateMergeInto(m.entry(p.a), m.entry(p.b), s.pos)
-	score := rel
-	if e.cfg.CostMode == AbsoluteCost {
-		score = abs
-	}
-	if score > s.bestScore || (score == s.bestScore && s.bestIdx >= 0 && idx < s.bestIdx) {
-		s.bestScore, s.bestIdx, s.best = score, idx, p
-	}
-}
-
-// scoreRound fills the memo for the round's unique pairs, evaluates them and
-// returns the scratch holding the argmax pair, or nil when no pair was
-// accepted (all scores -Inf/NaN — the legacy "found == false" case). The
-// result is identical for every worker count: with workers=1 (or a round
-// below the parallel gate) par.ForEach runs the evaluations inline in
-// sample order, reproducing the legacy sequential scan exactly.
-func (e *engine) scoreRound(pairs []pairSample) *evalScratch {
-	n := len(pairs)
-	if n == 0 {
-		return nil
-	}
+// scoreRound fills the memo for the round's unique pairs and evaluates them
+// in draw order. It returns the first pair with the strictly greatest score,
+// and ok false when no pair was accepted (all scores -Inf or NaN — the
+// legacy "found == false" case).
+func (e *engine) scoreRound(pairs []pairSample) (best pairSample, bestScore float64, ok bool) {
+	e.scorer.rounds++
+	e.scorer.pairs += len(pairs)
 	e.fill(pairs)
-	workers := e.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if n < minParallelPairs {
-		workers = 1
-	}
-	for k := 0; k < workers; k++ {
-		e.scorer.scratchFor(k, len(e.superOf)).reset()
-	}
-	par.ForEach(workers, n, func(w, i int) {
-		e.observe(e.scorer.scratch[w], i, pairs[i])
-	})
-
-	var win *evalScratch
-	for k := 0; k < workers; k++ {
-		s := e.scorer.scratch[k]
-		if s.bestIdx < 0 {
-			continue
+	m := &e.scorer.memo
+	bestScore = math.Inf(-1)
+	for _, p := range pairs {
+		rel, abs := e.evaluateMergeInto(m.entry(p.a), m.entry(p.b), e.scorer.pos)
+		score := rel
+		if e.cfg.CostMode == AbsoluteCost {
+			score = abs
 		}
-		if win == nil || s.bestScore > win.bestScore ||
-			(s.bestScore == win.bestScore && s.bestIdx < win.bestIdx) {
-			win = s
+		if score > bestScore {
+			best, bestScore, ok = p, score, true
 		}
 	}
-	return win
+	return best, bestScore, ok
 }

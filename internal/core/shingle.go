@@ -6,7 +6,6 @@ import (
 	"pegasus/internal/graph"
 	"pegasus/internal/minhash"
 	"pegasus/internal/obs"
-	"pegasus/internal/par"
 )
 
 // Candidate generation (§III-C): supernodes are grouped by the shingle
@@ -20,34 +19,24 @@ import (
 // MaxSplitDepth times, then randomly chopped to at most MaxGroupSize.
 // Singleton groups are discarded (nothing to merge).
 //
-// Grouping is sort-based and parallel: per-supernode shingles are packed
-// into parallel (shingle key, slot payload) arrays and stably sorted with
-// par.KeySorter, and equal-shingle runs become the groups. Because slots
-// enter every division step in ascending order and the sort is stable,
-// equal-shingle slots stay ascending: the groups match byte for byte those
-// of the map-based reference grouping in candgroup_test.go, for every
-// worker count. The per-depth shingle vectors, the packed key/slot arrays
-// and the sorter's radix scratch live on the engine and are reused across
-// iterations, so steady-state candidate generation allocates only the
-// emitted group slices.
+// Grouping is sort-based: per-supernode shingles are packed into parallel
+// (shingle key, slot payload) arrays and stably sorted with par.KeySorter,
+// and equal-shingle runs become the groups. Because slots enter every
+// division step in ascending order and the sort is stable, equal-shingle
+// slots stay ascending: the groups match byte for byte those of the
+// map-based reference grouping in candgroup_test.go. The per-depth shingle
+// vectors, the packed key/slot arrays and the sorter's radix scratch live
+// on the engine and are reused across iterations, so steady-state
+// candidate generation allocates only the emitted group slices.
 
 // nodeShinglesInto computes, for one hash function, the per-node closed
 // neighborhood min-hash: h_u = min over v ∈ N_u ∪ {u} of f(v), into out
-// (len(out) == |V|). Each node's shingle depends only on its own closed
-// neighborhood, so the O(V+E) scan is range-sharded across cfg.Workers
-// goroutines; the output is identical for any worker count.
-func (e *engine) nodeShinglesInto(seed uint64, out []uint64) {
-	h := minhash.New(seed)
-	par.Range(e.cfg.Workers, len(out), func(lo, hi int) {
-		e.shingleRange(h, out, lo, hi)
-	})
-}
-
-// shingleRange is one worker's contiguous share of a node-shingle scan.
+// (len(out) == |V|).
 //
 //pegasus:hotpath candidate generation scans all V+E per depth per iteration
-func (e *engine) shingleRange(h minhash.Hash, out []uint64, lo, hi int) {
-	for u := lo; u < hi; u++ {
+func (e *engine) nodeShinglesInto(seed uint64, out []uint64) {
+	h := minhash.New(seed)
+	for u := range out {
 		best := h.Uint64(uint32(u))
 		for _, v := range e.g.Neighbors(graph.NodeID(u)) {
 			if hv := h.Uint64(uint32(v)); hv < best {
@@ -109,8 +98,7 @@ func (e *engine) packShingleKeys(slots []uint32, nodeMin []uint64) {
 }
 
 // divideByShingle performs one division step: group slots by their shingle
-// under nodeMin via a parallel stable radix sort of the packed (shingle,
-// slot) keys. It returns the non-singleton groups in ascending shingle
+// under nodeMin via a stable radix sort of the packed (shingle, slot) keys. It returns the non-singleton groups in ascending shingle
 // order (each group's slots ascending — the input order, preserved by
 // stability since slots arrive sorted) and whether the hash split the
 // slots at all. A false split means every slot shares one shingle (e.g.
@@ -119,7 +107,7 @@ func (e *engine) packShingleKeys(slots []uint32, nodeMin []uint64) {
 func (e *engine) divideByShingle(slots []uint32, nodeMin []uint64) (groups [][]uint32, split bool) {
 	e.packShingleKeys(slots, nodeMin)
 	keys, pay := e.keyBuf, e.slotBuf
-	e.sorter.Sort(keys, pay, e.cfg.Workers)
+	e.sorter.Sort(keys, pay)
 	if len(keys) > 0 && keys[0] == keys[len(keys)-1] {
 		return nil, false
 	}

@@ -17,7 +17,7 @@ import (
 // they never touch its randomness or its merge decisions.
 func TestTracingDoesNotPerturbSummary(t *testing.T) {
 	g := gen.PlantedPartition(gen.SBMConfig{Nodes: 240, Communities: 4, AvgDegree: 10, MixingP: 0.08}, 2)
-	cfg := Config{BudgetRatio: 0.4, Seed: 9, Workers: 1}
+	cfg := Config{BudgetRatio: 0.4, Seed: 9}
 
 	plain, err := SummarizeCtx(context.Background(), g, cfg)
 	if err != nil {
@@ -57,72 +57,87 @@ func TestTracingDoesNotPerturbSummary(t *testing.T) {
 	}
 }
 
-// TestWorkCountsMatchAcrossWorkers pins the exact work counters: the mass
-// accumulations and neighbour visits of every iteration are the same at
-// Workers 1, 2 and 8, because which masses are stale depends only on the
-// merges, never on how many workers score a round. The build.merge span
-// of each iteration carries the same counts as its IterStats.
-func TestWorkCountsMatchAcrossWorkers(t *testing.T) {
+// workTotals is the sum of one build's per-iteration work counters.
+type workTotals struct {
+	Iterations, Groups, MergeRounds, PairsScored, MassAccumulations, NeighborVisits, Merges, Rejections int
+}
+
+// TestWorkCountsPinned pins the exact work counters of two builds, summed
+// over their iterations: candidate groups, merge rounds, unique pairs
+// scored, mass accumulations, neighbour visits, merges and rejections. They
+// repeat for a fixed graph and config, so a change to how much work the
+// merge loop does shows here as an exact diff. The build.merge span of
+// every iteration must carry the same counts as its IterStats.
+func TestWorkCountsPinned(t *testing.T) {
 	g := gen.BarabasiAlbert(1500, 4, 4)
-	// Random groups give rounds past minParallelPairs, so the scoring
-	// fans out.
-	for _, random := range []bool{false, true} {
-		checkWorkCounts(t, g, Config{Targets: []graph.NodeID{3, 50, 700}, BudgetRatio: 0.4, Seed: 13,
-			RandomGroups: random, MaxIter: 5})
+	for _, tc := range []struct {
+		random bool
+		want   workTotals
+	}{
+		{false, workTotals{Iterations: 5, Groups: 1448, MergeRounds: 3986, PairsScored: 21869,
+			MassAccumulations: 6637, NeighborVisits: 58695, Merges: 198, Rejections: 3788}},
+		{true, workTotals{Iterations: 5, Groups: 15, MergeRounds: 606, PairsScored: 284675,
+			MassAccumulations: 7827, NeighborVisits: 66798, Merges: 161, Rejections: 445}},
+	} {
+		got := buildWorkTotals(t, g, Config{Targets: []graph.NodeID{3, 50, 700}, BudgetRatio: 0.4, Seed: 13,
+			RandomGroups: tc.random, MaxIter: 5})
+		if got != tc.want {
+			t.Errorf("random groups %t: work %+v, want %+v", tc.random, got, tc.want)
+		}
 	}
 }
 
-func checkWorkCounts(t *testing.T, g *graph.Graph, base Config) {
+// buildWorkTotals summarizes g under cfg with a trace attached, checks each
+// build.merge span's counters against the iteration's IterStats and
+// returns the build's totals.
+func buildWorkTotals(t *testing.T, g *graph.Graph, cfg Config) workTotals {
 	t.Helper()
-	var ref []IterStats
-	for _, workers := range []int{1, 2, 8} {
-		var stats []IterStats
-		tr := obs.NewTrace()
-		cfg := base
-		cfg.Workers = workers
-		cfg.Trace = func(s IterStats) { stats = append(stats, s) }
-		if _, err := SummarizeCtx(obs.WithTrace(context.Background(), tr), g, cfg); err != nil {
-			t.Fatal(err)
-		}
-		var spans []obs.SpanView
-		for _, s := range tr.View().Spans {
-			if s.Name == "build.merge" {
-				spans = append(spans, s)
-			}
-		}
-		if len(spans) != len(stats) {
-			t.Fatalf("workers=%d: %d build.merge spans for %d iterations", workers, len(spans), len(stats))
-		}
-		total := 0
-		for i, s := range stats {
-			attrs := map[string]string{}
-			for _, a := range spans[i].Attrs {
-				attrs[a.Key] = a.Val
-			}
-			if got, want := attrs["mass_accumulations"], strconv.Itoa(s.MassAccumulations); got != want {
-				t.Errorf("workers=%d iteration %d: span mass_accumulations %q, IterStats %s", workers, s.Iteration, got, want)
-			}
-			if got, want := attrs["neighbor_visits"], strconv.Itoa(s.NeighborVisits); got != want {
-				t.Errorf("workers=%d iteration %d: span neighbor_visits %q, IterStats %s", workers, s.Iteration, got, want)
-			}
-			total += s.MassAccumulations
-		}
-		if total == 0 {
-			t.Fatalf("workers=%d: no mass accumulations counted", workers)
-		}
-		if ref == nil {
-			ref = stats
-			continue
-		}
-		if len(stats) != len(ref) {
-			t.Fatalf("workers=%d ran %d iterations, workers=1 %d", workers, len(stats), len(ref))
-		}
-		for i := range stats {
-			if stats[i].MassAccumulations != ref[i].MassAccumulations || stats[i].NeighborVisits != ref[i].NeighborVisits {
-				t.Errorf("iteration %d: workers=%d counts %d accumulations, %d visits; workers=1 %d, %d",
-					i+1, workers, stats[i].MassAccumulations, stats[i].NeighborVisits,
-					ref[i].MassAccumulations, ref[i].NeighborVisits)
-			}
+	var stats []IterStats
+	tr := obs.NewTrace()
+	cfg.Trace = func(s IterStats) { stats = append(stats, s) }
+	if _, err := SummarizeCtx(obs.WithTrace(context.Background(), tr), g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var spans []obs.SpanView
+	for _, s := range tr.View().Spans {
+		if s.Name == "build.merge" {
+			spans = append(spans, s)
 		}
 	}
+	if len(spans) != len(stats) {
+		t.Fatalf("%d build.merge spans for %d iterations", len(spans), len(stats))
+	}
+	var w workTotals
+	for i, s := range stats {
+		attrs := map[string]string{}
+		for _, a := range spans[i].Attrs {
+			attrs[a.Key] = a.Val
+		}
+		for _, c := range []struct {
+			key string
+			v   int
+		}{
+			{"iteration", s.Iteration},
+			{"groups", s.Groups},
+			{"rounds", s.MergeRounds},
+			{"pairs_scored", s.PairsScored},
+			{"merges", s.Merges},
+			{"rejections", s.Rejections},
+			{"mass_accumulations", s.MassAccumulations},
+			{"neighbor_visits", s.NeighborVisits},
+		} {
+			if got, want := attrs[c.key], strconv.Itoa(c.v); got != want {
+				t.Errorf("iteration %d: span %s %q, IterStats %s", s.Iteration, c.key, got, want)
+			}
+		}
+		w.Iterations++
+		w.Groups += s.Groups
+		w.MergeRounds += s.MergeRounds
+		w.PairsScored += s.PairsScored
+		w.MassAccumulations += s.MassAccumulations
+		w.NeighborVisits += s.NeighborVisits
+		w.Merges += s.Merges
+		w.Rejections += s.Rejections
+	}
+	return w
 }

@@ -169,7 +169,7 @@ type Summarizer func(ctx context.Context, g *graph.Graph, targets []graph.NodeID
 
 // PegasusSummarizer adapts core.SummarizeCtx to the Summarizer shape with
 // the given base configuration (targets and budget are overridden per
-// machine; base.Workers bounds each machine's in-engine parallelism).
+// machine).
 func PegasusSummarizer(base core.Config) Summarizer {
 	return func(ctx context.Context, g *graph.Graph, targets []graph.NodeID, budgetBits float64) (*summary.Summary, error) {
 		cfg := base
@@ -211,7 +211,7 @@ type BuildOpts struct {
 	// confined to one part re-keys (and rebuilds) exactly that shard.
 	// Empty Targets personalizes every shard to its whole part.
 	Targets []graph.NodeID
-	// ConfigKey is the workers-independent fingerprint of the summarizer's
+	// ConfigKey is the fingerprint of the summarizer's output-relevant
 	// configuration (core.Config.ContentKey for PegasusSummarizer). When
 	// non-empty, the build computes a ShardKey per machine, records them on
 	// Cluster.Keys, and may transplant machines from Prev. Callers using a
@@ -227,9 +227,8 @@ type BuildOpts struct {
 	// Prev is a previous cluster whose machines may be transplanted: any
 	// shard whose content key matches a key of Prev reuses that machine's
 	// summary verbatim instead of rebuilding. Equal keys imply bit-identical
-	// artifacts (summaries are immutable and the build pipeline is
-	// worker-count invariant), so reuse is undetectable except in build
-	// time. Requires ConfigKey; Prev clusters without Keys are ignored.
+	// artifacts (summaries are immutable and a build is deterministic for
+	// a fixed seed), so reuse is undetectable except in build time. Requires ConfigKey; Prev clusters without Keys are ignored.
 	Prev *Cluster
 	// Store is an on-disk artifact store consulted per shard after Prev:
 	// a shard whose content key is filed in the store decodes that artifact

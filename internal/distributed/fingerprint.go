@@ -11,11 +11,11 @@ import (
 
 // Content keys make shard-summary reuse provably safe: a shard's key is a
 // fingerprint of every input that determines its build output — the graph,
-// the shard's resolved target set, its budget share, and the
-// workers-independent summarizer configuration (core.Config.ContentKey).
-// Two builds with equal keys produce bit-identical artifacts (the pipeline
-// is worker-count invariant, see DESIGN.md), so an incremental rebuild may
-// transplant the previous machine instead of rebuilding it.
+// the shard's resolved target set, its budget share, and the summarizer
+// configuration (core.Config.ContentKey). Two builds with equal keys
+// produce bit-identical artifacts (a build is deterministic for a fixed
+// seed, see DESIGN.md), so an incremental rebuild may transplant the
+// previous machine instead of rebuilding it.
 
 // GraphToken fingerprints a graph's full structure (node count plus every
 // edge). It is the "graph generation" component of a shard content key: a

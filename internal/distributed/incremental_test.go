@@ -18,7 +18,7 @@ func incrementalInput(t *testing.T, seed int64) (*graph.Graph, []uint32, int, fl
 	g := clusterGraph(seed)
 	m := 4
 	labels := partition.RandomBalanced(g.NumNodes(), m, 1)
-	base := core.Config{Seed: 3, Workers: 1}
+	base := core.Config{Seed: 3}
 	key, ok := base.ContentKey()
 	if !ok {
 		t.Fatal("default config not fingerprintable")
@@ -251,7 +251,7 @@ func TestContentKeyNormalization(t *testing.T) {
 	}
 	spelled, ok := core.Config{
 		Seed: 7, Alpha: 1.25, Beta: 0.1, MaxIter: 20,
-		MaxGroupSize: 500, MaxSplitDepth: 10, Workers: 64,
+		MaxGroupSize: 500, MaxSplitDepth: 10,
 	}.ContentKey()
 	if !ok {
 		t.Fatal("spelled-out config not fingerprintable")

@@ -48,7 +48,7 @@ func TestParallelClusterBuildMatchesSequential(t *testing.T) {
 	m := 4
 	labels := partition.Partition(g, m, partition.MethodLouvain, 2)
 	budget := 0.5 * g.SizeBits()
-	sum := PegasusSummarizer(core.Config{Seed: 3, Workers: 1})
+	sum := PegasusSummarizer(core.Config{Seed: 3})
 
 	seq, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, sum, BuildOpts{Workers: 1})
 	if err != nil {
@@ -152,7 +152,7 @@ func TestConcurrentClusterBuildsRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, _, errs[i] = BuildSummaryClusterCtx(context.Background(), g, labels, m,
-				0.5*g.SizeBits(), PegasusSummarizer(core.Config{Seed: int64(i), Workers: 2}), BuildOpts{Workers: m})
+				0.5*g.SizeBits(), PegasusSummarizer(core.Config{Seed: int64(i)}), BuildOpts{Workers: m})
 		}(i)
 	}
 	wg.Wait()

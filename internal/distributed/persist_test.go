@@ -22,7 +22,7 @@ func persistTestSetup(t *testing.T) (*graph.Graph, []uint32, core.Config, string
 	for u := range labels {
 		labels[u] = uint32(u % 4)
 	}
-	cfg := core.Config{Seed: 9, Workers: 1}
+	cfg := core.Config{Seed: 9}
 	key, ok := cfg.ContentKey()
 	if !ok {
 		t.Fatal("config unexpectedly unkeyable")

@@ -1,8 +1,9 @@
-// Package par provides the small deterministic data-parallel primitives the
-// build pipeline is built on. Every helper here divides work into contiguous
-// index ranges whose outputs land in disjoint slice regions, so results are
-// bit-identical for any worker count — parallelism changes wall-clock time,
-// never the answer (see DESIGN.md §"Parallel build pipeline").
+// Package par provides small deterministic data-parallel primitives: the
+// range and work-stealing loops behind ingest, CSR assembly and concurrent
+// shard builds, and the sorts of sort.go. Every parallel helper divides
+// work into index ranges whose outputs land in disjoint slice regions, so
+// results are bit-identical for any worker count — parallelism changes
+// wall-clock time, never the answer.
 package par
 
 import (
@@ -56,7 +57,7 @@ func Range(workers, n int, fn func(lo, hi int)) {
 // ForEach runs fn for every index in [0,n) over a work-stealing pool of at
 // most `workers` goroutines (0 = GOMAXPROCS) and waits for all of them.
 // Unlike Range, indices are handed out dynamically, so it suits tasks of
-// uneven cost (candidate-pair scoring, per-shard summary builds). The first
+// uneven cost (per-shard summary builds, ingest chunks). The first
 // argument to fn identifies the executing worker in [0,workers), letting
 // callers keep per-worker scratch; fn must not assume which indices land on
 // which worker. With workers <= 1 (or n <= 1) indices run inline on the

@@ -53,7 +53,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 }
 
 // TestForEachInlineIsOrdered: the workers<=1 path must run in index order on
-// the caller (the engine's sequential scoring path relies on it).
+// the caller, as a plain sequential loop would.
 func TestForEachInlineIsOrdered(t *testing.T) {
 	var order []int
 	ForEach(1, 5, func(worker, i int) {

@@ -2,11 +2,10 @@ package par
 
 import "slices"
 
-// Parallel sorting: per-block sorts followed by pairwise merge rounds.
-// Originally built (and property-tested) for the ingest pipeline's packed
-// edge keys, now shared with the engine's sort-based candidate grouping.
-// Both entry points guarantee the same contract as the rest of this
-// package: the output is identical for every worker count.
+// SortUint64 is the ingest pipeline's parallel sort of packed edge keys:
+// per-block sorts followed by pairwise merge rounds, with an output
+// identical for every worker count. KeySorter is the sequential stable
+// radix sort behind the engine's candidate grouping.
 
 // sortMinBlock is the smallest block worth its own goroutine: below this
 // the spawn/merge overhead exceeds the sorting work and we sort inline.
@@ -46,42 +45,6 @@ func SortUint64(s []uint64, workers int) {
 	})
 }
 
-// SortStableFunc sorts s by cmp with up to `workers` goroutines (0 =
-// GOMAXPROCS). The sort is stable: elements comparing equal keep their
-// original relative order. Stability is what makes the result a pure
-// function of (input, cmp) — every block partitioning merges back to the
-// one stable permutation, so the output is bit-identical for any worker
-// count even when cmp has ties.
-func SortStableFunc[T any](s []T, workers int, cmp func(a, b T) int) {
-	blocks := blockCount(len(s), workers)
-	if blocks <= 1 {
-		slices.SortStableFunc(s, cmp)
-		return
-	}
-	bounds := blockBounds(len(s), blocks)
-	ForEach(workers, blocks, func(_, b int) {
-		slices.SortStableFunc(s[bounds[b]:bounds[b+1]], cmp)
-	})
-	scratch := make([]T, len(s))
-	mergeRounds(s, scratch, bounds, workers, func(dst, a, b []T) {
-		// Left run wins ties: a's elements precede b's in the original
-		// slice, so <= preserves their relative order (stability).
-		i, j, k := 0, 0, 0
-		for i < len(a) && j < len(b) {
-			if cmp(a[i], b[j]) <= 0 {
-				dst[k] = a[i]
-				i++
-			} else {
-				dst[k] = b[j]
-				j++
-			}
-			k++
-		}
-		copy(dst[k:], a[i:])
-		copy(dst[k+len(a)-i:], b[j:])
-	})
-}
-
 const (
 	radixBits    = 8
 	radixBuckets = 1 << radixBits
@@ -91,24 +54,20 @@ const (
 // KeySorter stably sorts parallel (uint64 key, uint32 payload) arrays by
 // key with an LSD radix sort, the workhorse of the engine's sort-based
 // candidate grouping: shingles are the keys, supernode slots the payloads,
-// and stability means equal-shingle slots keep their input order — so the
-// output is the unique stable permutation, bit-identical for every worker
-// count. The zero value is ready to use; the ping-pong and histogram
-// scratch is retained across calls, so steady-state sorts allocate nothing.
+// and stability means equal-shingle slots keep their input order. The zero
+// value is ready to use; the ping-pong and histogram scratch is retained
+// across calls, so steady-state sorts allocate nothing.
 type KeySorter struct {
 	k      []uint64
 	v      []uint32
-	counts []int
+	counts [radixBuckets]int
 }
 
 // Sort reorders keys ascending and applies the same permutation to vals
 // (len(vals) must equal len(keys)). Each of the eight byte-digit passes
-// counts per block in parallel, computes global stable offsets serially
-// (digit-major, block-minor — a few KiB of work), and scatters in parallel:
-// an element's destination depends only on how many equal-digit elements
-// precede it in the array, never on the block decomposition. Passes whose
-// digit is constant across all keys are skipped.
-func (s *KeySorter) Sort(keys []uint64, vals []uint32, workers int) {
+// counts the digits, turns the counts into stable start offsets and
+// scatters; passes whose digit is constant across all keys are skipped.
+func (s *KeySorter) Sort(keys []uint64, vals []uint32) {
 	n := len(keys)
 	if len(vals) != n {
 		panic("par: KeySorter key/value length mismatch")
@@ -116,65 +75,33 @@ func (s *KeySorter) Sort(keys []uint64, vals []uint32, workers int) {
 	if n < 2 {
 		return
 	}
-	blocks := blockCount(n, workers)
-	if blocks < 1 {
-		blocks = 1
-	}
 	if cap(s.k) < n {
 		s.k = make([]uint64, n)
 		s.v = make([]uint32, n)
 	}
-	if len(s.counts) < blocks*radixBuckets {
-		s.counts = make([]int, blocks*radixBuckets)
-	}
-	bounds := blockBounds(n, blocks)
 	srcK, srcV := keys, vals
 	dstK, dstV := s.k[:n], s.v[:n]
 	for pass := 0; pass < radixPasses; pass++ {
 		shift := pass * radixBits
-		counts := s.counts[:blocks*radixBuckets]
-		clear(counts)
-		count := func(b int) {
-			c := counts[b*radixBuckets : (b+1)*radixBuckets]
-			for _, k := range srcK[bounds[b]:bounds[b+1]] {
-				c[int(k>>shift)&(radixBuckets-1)]++
-			}
+		counts := &s.counts
+		clear(counts[:])
+		for _, k := range srcK {
+			counts[int(k>>shift)&(radixBuckets-1)]++
 		}
-		if blocks == 1 {
-			count(0)
-		} else {
-			ForEach(workers, blocks, func(_, b int) { count(b) })
+		if counts[int(srcK[0]>>shift)&(radixBuckets-1)] == n {
+			continue // every key has this digit: the pass is a no-op
 		}
-		// Turn counts into global stable start offsets (digit-major,
-		// block-minor). A digit owning every key means the pass is a no-op.
-		skip := false
+		// Turn counts into stable start offsets.
 		pos := 0
-		for d := 0; d < radixBuckets && !skip; d++ {
-			dTotal := 0
-			for b := 0; b < blocks; b++ {
-				i := b*radixBuckets + d
-				dTotal += counts[i]
-				counts[i], pos = pos, pos+counts[i]
-			}
-			skip = dTotal == n
+		for d := range counts {
+			counts[d], pos = pos, pos+counts[d]
 		}
-		if skip {
-			continue
-		}
-		scatter := func(b int) {
-			c := counts[b*radixBuckets : (b+1)*radixBuckets]
-			for i := bounds[b]; i < bounds[b+1]; i++ {
-				d := int(srcK[i]>>shift) & (radixBuckets - 1)
-				j := c[d]
-				c[d]++
-				dstK[j] = srcK[i]
-				dstV[j] = srcV[i]
-			}
-		}
-		if blocks == 1 {
-			scatter(0)
-		} else {
-			ForEach(workers, blocks, func(_, b int) { scatter(b) })
+		for i, k := range srcK {
+			d := int(k>>shift) & (radixBuckets - 1)
+			j := counts[d]
+			counts[d]++
+			dstK[j] = k
+			dstV[j] = srcV[i]
 		}
 		srcK, srcV, dstK, dstV = dstK, dstV, srcK, srcV
 	}

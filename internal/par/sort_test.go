@@ -1,6 +1,7 @@
 package par
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,50 +27,9 @@ func TestSortUint64MatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSortStableFuncWorkerInvariance is the contract the candidate-grouping
-// pipeline leans on: with ties under cmp, every worker count must reproduce
-// the stable permutation bit for bit.
-func TestSortStableFuncWorkerInvariance(t *testing.T) {
-	type pair struct {
-		key uint64
-		pos int
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, size := range []int{0, 1, 100, 70000, 1<<17 + 13} {
-		s := make([]pair, size)
-		for i := range s {
-			// Few distinct keys: lots of ties, so stability is load-bearing.
-			s[i] = pair{key: rng.Uint64() % 17, pos: i}
-		}
-		cmp := func(a, b pair) int {
-			switch {
-			case a.key < b.key:
-				return -1
-			case a.key > b.key:
-				return 1
-			}
-			return 0
-		}
-		want := slices.Clone(s)
-		slices.SortStableFunc(want, cmp)
-		for _, w := range []int{1, 2, 5, 8} {
-			got := slices.Clone(s)
-			SortStableFunc(got, w, cmp)
-			if !slices.Equal(got, want) {
-				t.Fatalf("size %d workers %d: stable sort not worker-count invariant", size, w)
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i-1].key == got[i].key && got[i-1].pos > got[i].pos {
-					t.Fatalf("size %d workers %d: stability violated at %d", size, w, i)
-				}
-			}
-		}
-	}
-}
-
 // TestKeySorterMatchesStableReference: the radix sorter must produce the
-// stable permutation (equal keys keep input order) for every worker count,
-// including reuse of one sorter across differently-sized inputs.
+// stable permutation (equal keys keep input order), including when one
+// sorter is reused across differently-sized inputs.
 func TestKeySorterMatchesStableReference(t *testing.T) {
 	type kv struct {
 		k uint64
@@ -88,28 +48,22 @@ func TestKeySorterMatchesStableReference(t *testing.T) {
 				ref[i] = kv{k: rng.Uint64(), v: uint32(i)}
 			}
 		}
+		// Each payload is its input position, so ordering by (key, payload)
+		// is the stable order by key.
 		want := slices.Clone(ref)
-		slices.SortStableFunc(want, func(a, b kv) int {
-			switch {
-			case a.k < b.k:
-				return -1
-			case a.k > b.k:
-				return 1
-			}
-			return 0
+		slices.SortFunc(want, func(a, b kv) int {
+			return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.v, b.v))
 		})
-		for _, w := range []int{1, 2, 3, 8} {
-			keys := make([]uint64, size)
-			vals := make([]uint32, size)
-			for i, e := range ref {
-				keys[i], vals[i] = e.k, e.v
-			}
-			s.Sort(keys, vals, w)
-			for i := range want {
-				if keys[i] != want[i].k || vals[i] != want[i].v {
-					t.Fatalf("size %d workers %d: mismatch at %d: (%d,%d) want (%d,%d)",
-						size, w, i, keys[i], vals[i], want[i].k, want[i].v)
-				}
+		keys := make([]uint64, size)
+		vals := make([]uint32, size)
+		for i, e := range ref {
+			keys[i], vals[i] = e.k, e.v
+		}
+		s.Sort(keys, vals)
+		for i := range want {
+			if keys[i] != want[i].k || vals[i] != want[i].v {
+				t.Fatalf("size %d: mismatch at %d: (%d,%d) want (%d,%d)",
+					size, i, keys[i], vals[i], want[i].k, want[i].v)
 			}
 		}
 	}
@@ -122,5 +76,5 @@ func TestKeySorterLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	var s KeySorter
-	s.Sort(make([]uint64, 3), make([]uint32, 2), 1)
+	s.Sort(make([]uint64, 3), make([]uint32, 2))
 }

@@ -72,12 +72,12 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 // intersection is non-empty. An unsharded server is the 1-machine case:
 // its one part is V, so it personalizes to cfg.Targets, or to V (the
 // non-personalized summary) when no targets are set.
-// cfg.BuildWorkers bounds the build parallelism (concurrent shard builds
-// plus the engine's internal pipeline) and ctx cancels summarization
-// mid-build — a disconnected POST /v1/summarize client stops burning CPU.
+// cfg.BuildWorkers bounds the concurrent shard builds (each engine runs
+// sequentially) and ctx cancels summarization mid-build — a disconnected
+// POST /v1/summarize client stops burning CPU.
 //
 // The build is incremental: each shard gets a content key — a fingerprint
-// of (graph, resolved target set, budget share, workers-independent config)
+// of (graph, resolved target set, budget share, config)
 // — and shards whose key matches a shard of prev transplant that artifact
 // instead of rebuilding (equal keys imply bit-identical summaries, see
 // internal/distributed). A non-nil store adds the disk tier: shards not
@@ -88,20 +88,7 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 // distributed.GraphToken of g.
 func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (*backend, distributed.BuildStats, error) {
 	budgetBits := cfg.BudgetRatio * g.SizeBits()
-	// Split the worker budget between the two levels of parallelism: up to
-	// BuildWorkers shard builds in flight, each engine using the leftover
-	// share, so the build never runs more than ~BuildWorkers goroutines.
-	// The artifact is identical for any split (the pipeline is
-	// worker-count invariant).
-	concurrentShards := cfg.BuildWorkers
-	if concurrentShards > cfg.Shards {
-		concurrentShards = cfg.Shards
-	}
-	perEngine := cfg.BuildWorkers / concurrentShards
-	if perEngine < 1 {
-		perEngine = 1
-	}
-	base := core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed, Workers: perEngine}
+	base := core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed}
 	// The partition depends only on (graph, Shards, PartitionMethod, Seed),
 	// none of which /v1/summarize can change, so labels — and with them the
 	// node→shard routing — are stable across hot rebuilds.

@@ -46,11 +46,11 @@ type Config struct {
 	// POST /v1/query/batch request (default 256). Larger batches are
 	// rejected with a 400; clients should split them.
 	BatchMax int
-	// BuildWorkers bounds the goroutines used to build the serving artifact
-	// — concurrent per-shard summary builds plus the engine's internal
-	// parallelism — both at startup and on POST /v1/summarize hot rebuilds
-	// (default GOMAXPROCS; 1 forces the sequential build). Any value
-	// produces the same artifact for a fixed seed.
+	// BuildWorkers bounds the shard summaries built concurrently, both at
+	// startup and on POST /v1/summarize hot rebuilds (default GOMAXPROCS;
+	// 1 builds one shard at a time). Each shard's engine is sequential, so
+	// the value has no effect on an unsharded server. Any value produces
+	// the same artifact for a fixed seed.
 	BuildWorkers int
 	// CacheDir, when non-empty, enables disk-backed shard artifacts: every
 	// built shard summary is persisted under its content key

@@ -27,9 +27,6 @@ type Config struct {
 	MaxIter int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds the parallel build pipeline goroutines (0 = GOMAXPROCS,
-	// 1 = sequential); any value yields bit-identical output.
-	Workers int
 	// Trace, when non-nil, receives per-iteration statistics.
 	Trace func(core.IterStats)
 }
@@ -51,7 +48,6 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, cfg Config) (*core.Result
 		BudgetRatio: cfg.BudgetRatio,
 		MaxIter:     maxIter,
 		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
 		Encoding:    core.BestOfTwo,
 		Threshold:   core.FixedSchedule{TMax: maxIter},
 		Trace:       cfg.Trace,

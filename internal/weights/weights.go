@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"pegasus/internal/graph"
-	"pegasus/internal/par"
 )
 
 // Weights holds the per-node personalized weights for one (T, α) choice.
@@ -37,18 +36,10 @@ type Weights struct {
 // plus one hop (they are "infinitely far"; using diameter+1 keeps weights
 // positive and the cost function finite).
 func New(g *graph.Graph, targets []graph.NodeID, alpha float64) (*Weights, error) {
-	return NewParallel(g, targets, alpha, 1)
-}
-
-// NewParallel is New with the per-node π = α^{−D(u,T)} exponentiation
-// range-sharded across the given number of workers (0 = GOMAXPROCS). Each
-// node's weight is computed independently, so the result is bit-identical
-// for any worker count; the BFS and the Z normalizer (whose floating-point
-// sum is order-sensitive) stay sequential.
-func NewParallel(g *graph.Graph, targets []graph.NodeID, alpha float64, workers int) (*Weights, error) {
 	n := g.NumNodes()
-	if alpha < 1 {
-		return nil, fmt.Errorf("weights: alpha must be >= 1, got %v", alpha)
+	// NaN fails every comparison, so alpha < 1 alone would let it through.
+	if math.IsNaN(alpha) || math.IsInf(alpha, 0) || alpha < 1 {
+		return nil, fmt.Errorf("weights: alpha must be finite and >= 1, got %v", alpha)
 	}
 	w := &Weights{Alpha: alpha, Pi: make([]float64, n)}
 	if len(targets) == 0 || alpha == 1 {
@@ -71,15 +62,12 @@ func NewParallel(g *graph.Graph, targets []graph.NodeID, alpha float64, workers 
 			maxD = d
 		}
 	}
-	par.Range(workers, n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			d := w.dist[u]
-			if d == graph.Unreached {
-				d = maxD + 1
-			}
-			w.Pi[u] = math.Pow(alpha, -float64(d))
+	for u, d := range w.dist {
+		if d == graph.Unreached {
+			d = maxD + 1
 		}
-	})
+		w.Pi[u] = math.Pow(alpha, -float64(d))
+	}
 	w.Z = normalizer(w.Pi)
 	return w, nil
 }

@@ -124,6 +124,11 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := New(g, []graph.NodeID{0}, 0.5); err == nil {
 		t.Error("want error for alpha < 1")
 	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(g, []graph.NodeID{0}, alpha); err == nil {
+			t.Errorf("want error for alpha %v", alpha)
+		}
+	}
 	if _, err := New(g, []graph.NodeID{99}, 1.5); err == nil {
 		t.Error("want error for out-of-range target")
 	}

@@ -74,9 +74,9 @@ func ComputeGraphStats(g *Graph) GraphStats { return graph.ComputeStats(g) }
 func LargestComponent(g *Graph) (*Graph, []NodeID) { return graph.LargestComponent(g) }
 
 // Summarize runs PeGaSus (Alg. 1 of the paper) and returns a summary graph
-// personalized to cfg.Targets within the bit budget. cfg.Workers bounds the
-// parallel build pipeline (0 = GOMAXPROCS); every worker count produces
-// bit-identical summaries for a fixed seed.
+// personalized to cfg.Targets within the bit budget. The engine runs on the
+// calling goroutine; build many summaries at once with BuildSummaryCluster,
+// whose shard builds run concurrently.
 func Summarize(g *Graph, cfg Config) (*Result, error) { return core.Summarize(g, cfg) }
 
 // SummarizeCtx is Summarize with cooperative cancellation: the engine

@@ -76,7 +76,7 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatalf("partition: %v", err)
 	}
 	c, err := pegasus.BuildSummaryClusterCtx(context.Background(), ig, labels, shards,
-		0.7*ig.SizeBits(), pegasus.Config{Seed: 1, Workers: 1}, 0)
+		0.7*ig.SizeBits(), pegasus.Config{Seed: 1}, 0)
 	if err != nil {
 		t.Fatalf("cluster build: %v", err)
 	}
