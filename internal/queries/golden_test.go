@@ -41,6 +41,28 @@ func goldenFixture(t *testing.T) (*graph.Graph, *summary.Summary) {
 	return g, res.Summary
 }
 
+// goldenWeighted returns a density-weighted summary of goldenGraph, the
+// output form of the k-GraSS, S2L and SAAGs baselines. The BA nodes fall
+// into 40 supernodes by u mod 40, ten of which carry a self-loop of weight
+// 1/6 or 1/3 beside their other superedges; the two isolated nodes share a
+// supernode with no superedges; and the path component is one supernode
+// whose only superedge is a self-loop of weight 1/2 (3 of its 6 member
+// pairs are edges).
+func goldenWeighted(g *graph.Graph) *summary.Summary {
+	superOf := make([]uint32, g.NumNodes())
+	for u := range superOf {
+		switch {
+		case u < 150:
+			superOf[u] = uint32(u % 40)
+		case u < 152:
+			superOf[u] = 40
+		default:
+			superOf[u] = 41
+		}
+	}
+	return summary.FromPartitionDensity(g, superOf)
+}
+
 // vectorsDigest hashes the exact bits of a sequence of answer vectors.
 func vectorsDigest(vs [][]float64) string {
 	h := sha256.New()
@@ -55,10 +77,14 @@ func vectorsDigest(vs [][]float64) string {
 }
 
 // TestQueryGoldens pins the exact answers of the RWR and PHP kernels, on
-// the input graph and on a PeGaSus summary of it, as SHA-256 digests over
-// the float64 bits of every answer vector. The query set covers a node
-// with no neighbors in the graph (a dead end for both evaluators) and a
-// node whose supernode has no superedges (a dead end on the summary only).
+// the input graph, on a PeGaSus summary of it and on a density-weighted
+// summary of it, as SHA-256 digests over the float64 bits of every answer
+// vector. The query set covers a node with no neighbors in the graph (a
+// dead end for both evaluators) and a node whose supernode has no
+// superedges (a dead end on the summary only). The PeGaSus summary's
+// weights are all 1; the weighted one carries self-loops of other weights,
+// which is what the kernels' self-loop correction (u is not its own
+// neighbor) multiplies.
 // Any change to the kernels' arithmetic, iteration order or start vector
 // moves a digest. A refactor must leave every digest as it is; a change
 // that alters answers on purpose (a new start vector, say) updates them and
@@ -74,8 +100,18 @@ func TestQueryGoldens(t *testing.T) {
 		t.Fatal("the golden summary has no non-isolated node whose supernode lacks superedges")
 	}
 	qs = append(qs, graph.NodeID(bare))
+	ws := goldenWeighted(g)
+	if err := ws.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := ws.HasSuperedge(ws.Supernode(152), ws.Supernode(152)); !ok || w != 0.5 {
+		t.Fatalf("the path's supernode must carry a self-loop of weight 0.5, got %v, %v", w, ok)
+	}
+	if ws.SuperDegree(ws.Supernode(150)) != 0 {
+		t.Fatal("the isolated nodes' supernode must have no superedges in the weighted summary")
+	}
 
-	var gr, gp, sr, sp [][]float64
+	var gr, gp, sr, sp, wr, wp [][]float64
 	for _, q := range qs {
 		v, err := GraphRWR(g, q, RWRConfig{})
 		if err != nil {
@@ -94,6 +130,14 @@ func TestQueryGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp = append(sp, v)
+		if v, err = SummaryRWR(ws, q, RWRConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		wr = append(wr, v)
+		if v, err = SummaryPHP(ws, q, PHPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		wp = append(wp, v)
 	}
 
 	for _, c := range []struct {
@@ -105,6 +149,8 @@ func TestQueryGoldens(t *testing.T) {
 		{"GraphPHP", gp, "0e19ac707c31412ed93ee0982430491b33c297a970b360e128bd22428a291194"},
 		{"SummaryRWR", sr, "a41a53c6ae8fe08e2bdb50fa5e26a7eb8ece5c9ab1844d6b5784ee9f08377231"},
 		{"SummaryPHP", sp, "a320c2b5a45e7f553c576dc26e3c22ebe6ec7d31fa6261dd022d465162ed12b4"},
+		{"WeightedSummaryRWR", wr, "1fbf80f27e96d720f3e5aa58edef077e51e773e7e0894de3dfc8ca0dbc215b14"},
+		{"WeightedSummaryPHP", wp, "094f95c59583e74477d77cd4f1602c07dcfe787ef8a7518f02c5e581f15a4da6"},
 	} {
 		if got := vectorsDigest(c.vs); got != c.want {
 			t.Errorf("%s digest over %d queries (bare-supernode node %d) = %s, want %s",
