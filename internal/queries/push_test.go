@@ -2,6 +2,8 @@ package queries
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,5 +139,31 @@ func TestTopK(t *testing.T) {
 	}
 	if !sort.IsSorted(sort.Reverse(sort.Float64Slice(vals))) {
 		t.Fatalf("TopK not descending: %v", vals)
+	}
+
+	// Against a full sort of random scores drawn from few values, so most
+	// scores tie: the top k of the score-descending, ID-ascending order,
+	// for the smallest, a typical and the largest k.
+	rng := rand.New(rand.NewSource(5))
+	scores = make([]float64, 1000)
+	for i := range scores {
+		scores[i] = float64(rng.Intn(25)) / 24
+	}
+	scores[17] = math.Copysign(0, -1) // -0 ties with +0 and ranks by ID
+	order := make([]graph.NodeID, len(scores))
+	for i := range order {
+		order[i] = graph.NodeID(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return scores[order[i]] > scores[order[j]] })
+	for _, k := range []int{1, 10, len(scores)} {
+		if got := TopK(scores, k); !slices.Equal(got, order[:k]) {
+			t.Fatalf("TopK(k=%d) = %v..., want %v...", k, got[:min(k, 10)], order[:min(k, 10)])
+		}
+	}
+
+	// NaN scores rank below every number, by ID among themselves.
+	scores = []float64{math.NaN(), 0.5, math.NaN(), -1, 0.5}
+	if got, want := TopK(scores, 5), []graph.NodeID{1, 4, 3, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("TopK with NaN scores = %v, want %v", got, want)
 	}
 }

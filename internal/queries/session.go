@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"math"
 
 	"pegasus/internal/graph"
 	"pegasus/internal/obs"
@@ -208,10 +209,22 @@ type summarySession struct {
 	wdeg, selfW []float64
 }
 
-// RWR is the block-accelerated random walk with restart. The
-// super-neighbor callback is hoisted out of the iteration loops (it reads
-// the current supernode through the captured index variable), so the inner
-// loops run allocation-free.
+// RWR is the block-accelerated random walk with restart. One iteration is
+// three plain passes over slices, with no call per superedge:
+//
+//  1. per node, x_u = r[u]/wdeg[u] (computed once, kept in next until pass
+//     3 overwrites it), summed into the mass of u's supernode; a dead end's
+//     r[u] goes to the dead-end mass instead and its x_u is 0;
+//  2. per supernode, the inflow Σ_{B adj A} w_AB · mass_B, read from the
+//     summary's sorted superedge lists;
+//  3. per node, next[u] = c·(inflow of S_u − selfW_{S_u}·x_u) (u is not its
+//     own neighbor; the product is +0 without a self-loop or at a dead
+//     end), plus the restart and dead-end mass at q, and the L1 change
+//     summed in node order.
+//
+// Every sum runs in node order or in superedge-list order, and
+// TestQueryGoldens pins the resulting bits: a change that reorders a sum
+// (splitting it into partial sums, say) moves the answers and shows there.
 //
 //pegasus:hotpath
 func (ss *summarySession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) {
@@ -232,11 +245,7 @@ func (ss *summarySession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 	defer func() { sp.AttrInt("nodes", n); sp.AttrInt("iterations", iters); sp.End() }()
 	c := 1 - cfg.Restart
 	// Re-sliced to their lengths so the compiler can elide bounds checks.
-	wdeg, selfW := ss.wdeg[:n], ss.selfW[:ns]
-	var cur int
-	inflow := func(b uint32, w float64) {
-		superIn[cur] += w * mass[b]
-	}
+	wdeg, superOf, selfW := ss.wdeg[:n], s.SupernodeOf()[:n], ss.selfW[:ns]
 	for i := range r {
 		r[i] = 1 / float64(n)
 	}
@@ -245,39 +254,30 @@ func (ss *summarySession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 			return nil, err
 		}
 		iters = iter + 1
+		clear(mass)
 		dead := 0.0
-		for a := range mass {
-			mass[a] = 0
-		}
-		for u := 0; u < n; u++ {
+		x := next[:n]
+		for u, ru := range r {
+			xu := 0.0
 			if wdeg[u] == 0 {
-				dead += r[u]
-				continue
+				dead += ru
+			} else {
+				xu = ru / wdeg[u]
+				mass[superOf[u]] += xu
 			}
-			mass[s.Supernode(graph.NodeID(u))] += r[u] / wdeg[u]
+			x[u] = xu
 		}
-		for a := 0; a < ns; a++ {
-			superIn[a] = 0
-		}
-		for cur = 0; cur < ns; cur++ {
-			s.ForEachSuperNeighbor(uint32(cur), inflow)
-		}
+		ss.inflow(superIn, mass)
+		restart := cfg.Restart + c*dead
 		delta := 0.0
-		for u := 0; u < n; u++ {
-			su := s.Supernode(graph.NodeID(u))
-			in := superIn[su]
-			if selfW[su] > 0 && wdeg[u] > 0 {
-				in -= selfW[su] * (r[u] / wdeg[u]) // u is not its own neighbor
+		for u, ru := range r {
+			su := superOf[u]
+			v := c * (superIn[su] - selfW[su]*x[u])
+			if u == int(q) {
+				v += restart
 			}
-			next[u] = c * in
-		}
-		next[q] += cfg.Restart + c*dead
-		for i := range next {
-			d := next[i] - r[i]
-			if d < 0 {
-				d = -d
-			}
-			delta += d
+			delta += math.Abs(v - ru)
+			x[u] = v
 		}
 		r, next = next, r
 		if delta < cfg.Eps {
@@ -287,8 +287,10 @@ func (ss *summarySession) RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 	return r, nil
 }
 
-// PHP is the block-accelerated penalized hitting probability; the
-// super-neighbor callback is hoisted exactly as in RWR.
+// PHP is the block-accelerated penalized hitting probability, in the same
+// three passes as RWR: per-supernode sums of p, their inflow along the
+// superedges, and per node next[u] = C·(inflow of S_u − selfW_{S_u}·p[u]) /
+// wdeg[u] with the L∞ change, under the same fixed order of operations.
 //
 //pegasus:hotpath
 func (ss *summarySession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) {
@@ -309,44 +311,34 @@ func (ss *summarySession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 	_, sp := obs.StartSpan(cfg.Ctx, "session.php")
 	defer func() { sp.AttrInt("nodes", n); sp.AttrInt("iterations", iters); sp.End() }()
 	// Re-sliced to their lengths for bounds-check elimination.
-	wdeg, selfW := ss.wdeg[:n], ss.selfW[:ns]
-	var cur int
-	inflow := func(b uint32, w float64) {
-		superIn[cur] += w * sumPHP[b]
-	}
+	wdeg, superOf, selfW := ss.wdeg[:n], s.SupernodeOf()[:n], ss.selfW[:ns]
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return nil, err
 		}
 		iters = iter + 1
-		for a := range sumPHP {
-			sumPHP[a] = 0
+		clear(sumPHP)
+		for u, pu := range p {
+			sumPHP[superOf[u]] += pu
 		}
-		for u := 0; u < n; u++ {
-			sumPHP[s.Supernode(graph.NodeID(u))] += p[u]
-		}
-		for cur = 0; cur < ns; cur++ {
-			superIn[cur] = 0
-			s.ForEachSuperNeighbor(uint32(cur), inflow)
-		}
+		ss.inflow(superIn, sumPHP)
 		delta := 0.0
-		for u := 0; u < n; u++ {
-			if graph.NodeID(u) == q {
-				next[u] = 1
+		out := next[:n]
+		for u, pu := range p {
+			if u == int(q) {
+				out[u] = 1
 				continue
 			}
 			if wdeg[u] == 0 {
-				next[u] = 0
+				out[u] = 0
 				continue
 			}
-			su := s.Supernode(graph.NodeID(u))
-			in := superIn[su] - selfW[su]*p[u]
-			next[u] = cfg.C * in / wdeg[u]
-			if d := next[u] - p[u]; d > delta {
+			su := superOf[u]
+			v := cfg.C * (superIn[su] - selfW[su]*pu) / wdeg[u]
+			if d := math.Abs(v - pu); d > delta {
 				delta = d
-			} else if -d > delta {
-				delta = -d
 			}
+			out[u] = v
 		}
 		p, next = next, p
 		if delta < cfg.Eps {
@@ -354,4 +346,20 @@ func (ss *summarySession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 		}
 	}
 	return p, nil
+}
+
+// inflow sets in[a] = Σ_{B adj A} w_AB · x[B] for every supernode a, adding
+// the terms in the order of a's sorted superedge list.
+//
+//pegasus:hotpath
+func (ss *summarySession) inflow(in, x []float64) {
+	for a := range in {
+		nbr, wts := ss.s.SuperNeighbors(uint32(a))
+		wts = wts[:len(nbr)]
+		sum := 0.0
+		for i, b := range nbr {
+			sum += wts[i] * x[b]
+		}
+		in[a] = sum
+	}
 }

@@ -1,9 +1,12 @@
 package queries
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"pegasus/internal/gen"
 	"pegasus/internal/graph"
@@ -252,4 +255,78 @@ func TestSessionOutOfRange(t *testing.T) {
 	if _, err := NewSummarySession(s).PHP(graph.NodeID(g.NumNodes()), PHPConfig{}); err == nil {
 		t.Error("summary session accepted an out-of-range query node")
 	}
+}
+
+// TestSessionCancellation covers cfg.Ctx in all four session kernels, RWR
+// and PHP on the oracle session and on the summary session. Each checks the
+// context once per iteration: a context cancelled before the call, one whose
+// deadline has passed and one cancelled after three iterations all end the
+// query with the context's error and no vector, and a nil Ctx never cancels.
+func TestSessionCancellation(t *testing.T) {
+	g, s := goldenFixture(t)
+	const q = 3 // in the giant component: no kernel converges in 3 iterations
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel2()
+	for _, ev := range []struct {
+		name string
+		sess Session
+	}{{"oracle", NewSession(GraphOracle{g})}, {"summary", NewSummarySession(s)}} {
+		for _, k := range []struct {
+			name   string
+			answer func(ctx context.Context) ([]float64, error)
+		}{
+			{"RWR", func(ctx context.Context) ([]float64, error) { return ev.sess.RWR(q, RWRConfig{Ctx: ctx}) }},
+			{"PHP", func(ctx context.Context) ([]float64, error) { return ev.sess.PHP(q, PHPConfig{Ctx: ctx}) }},
+		} {
+			for _, c := range []struct {
+				name string
+				ctx  context.Context
+				want error
+			}{
+				{"cancelled", cancelled, context.Canceled},
+				{"expired", expired, context.DeadlineExceeded},
+				{"cancelled mid-query", &cancelAfter{Context: context.Background(), left: 3}, context.Canceled},
+			} {
+				if v, err := k.answer(c.ctx); !errors.Is(err, c.want) || v != nil {
+					t.Errorf("%s %s, %s context: got %d scores and error %v, want no vector and %v",
+						ev.name, k.name, c.name, len(v), err, c.want)
+				}
+			}
+			want, err := k.answer(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := k.answer(nil); err != nil || !slices.Equal(got, want) {
+				t.Errorf("%s %s with a nil Ctx: error %v, or the answer differs from a live context's", ev.name, k.name, err)
+			}
+		}
+	}
+}
+
+// cancelAfter is a context that reads as cancelled from the (left+1)-th
+// call of Done on: a kernel that checks it once per iteration runs left
+// iterations and stops at the next check. It is not safe for concurrent
+// use.
+type cancelAfter struct {
+	context.Context
+	left int
+}
+
+var closedDone = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.left == 0 {
+		return closedDone
+	}
+	c.left--
+	return nil
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	return nil
 }

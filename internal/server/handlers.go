@@ -68,9 +68,10 @@ type QueryRequest struct {
 	QueryParams
 }
 
-// maxTopK bounds the k of a topk query: ranking is O(k·|V|), so k must not
-// become a CPU amplification vector (ranking runs on the bounded worker
-// pool, but a slot should not be held for an absurd k either).
+// maxTopK bounds the k of a topk query. Ranking keeps a bounded heap,
+// O(|V| log k), so k costs little CPU; the bound caps the answer's size (k
+// node IDs in the cached entry and the JSON body) and how long a ranking
+// holds its slot of the bounded worker pool.
 const maxTopK = 1000
 
 // validate range-checks the algorithm parameters per the rule documented on
@@ -570,8 +571,8 @@ func (s *Server) plan(box *backendBox, kind, metric string, q graph.NodeID, shar
 	// topk caches the ranked answer under its own key (repeated identical
 	// topk queries must not re-rank the score vector) while sharing the
 	// underlying scores with plain metric queries through a nested cache
-	// lookup. Ranking runs on the worker pool: O(k·|V|) selection is real
-	// CPU that the pool bound must cap.
+	// lookup. Ranking runs on the worker pool: its O(|V| log k) heap pass is
+	// real CPU that the pool bound must cap.
 	topkKey := fmt.Sprintf("%s|top%d", key, p.k)
 	return topkKey, func(ctx context.Context) (any, error) {
 		val, _, err := s.cache.GetOrCompute(ctx, key, func() (any, error) { return compute(ctx) })

@@ -176,6 +176,15 @@ func (s *Summary) Supernode(u graph.NodeID) uint32 { return s.superOf[u] }
 // internal storage and must not be modified.
 func (s *Summary) Members(a uint32) []graph.NodeID { return s.members[a] }
 
+// SupernodeOf returns the node-to-supernode map: element u is Supernode(u).
+// The slice aliases internal storage and must not be modified.
+func (s *Summary) SupernodeOf() []uint32 { return s.superOf }
+
+// SuperNeighbors returns the sorted superedge neighbors of a, including a
+// itself when {a,a} is a self-loop, and their weights, position for
+// position. The slices alias internal storage and must not be modified.
+func (s *Summary) SuperNeighbors(a uint32) ([]uint32, []float64) { return s.nbr[a], s.wts[a] }
+
 // ForEachSuperNeighbor calls fn for every superedge incident to a, including
 // the self-loop {a,a} if present.
 func (s *Summary) ForEachSuperNeighbor(a uint32, fn func(b uint32, w float64)) {

@@ -61,7 +61,8 @@ func PushRWR(o Oracle, q NodeID, cfg PushConfig) ([]float64, error) {
 }
 
 // TopK returns the k highest-scoring nodes in descending order (the k-NN
-// answer shape).
+// answer shape), ties broken by node ID and a NaN score ranked below every
+// number, in O(|V| log k).
 func TopK(scores []float64, k int) []NodeID { return queries.TopK(scores, k) }
 
 // QuerySession answers RWR/PHP queries over one artifact. It computes the
