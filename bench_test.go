@@ -14,6 +14,7 @@ import (
 
 	"pegasus"
 	"pegasus/internal/experiments"
+	"pegasus/internal/graph"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -79,29 +80,61 @@ func benchGraph(b *testing.B, n, m int) *pegasus.Graph {
 	return g
 }
 
+// benchBuild times build, one fixed summarization per op: the seed is
+// pinned, so every op does the same work whatever b.N is, and ns/op
+// compares across changes. It reports allocations and pairs/op, the unique
+// candidate pairs each build scored (IterStats.PairsScored), an exact count
+// that repeats when two changes did the same work.
+func benchBuild(b *testing.B, build func(trace func(pegasus.IterStats)) error) {
+	b.Helper()
+	pairs := 0
+	trace := func(s pegasus.IterStats) { pairs += s.PairsScored }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := build(trace); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
 // BenchmarkSummarizePegasus measures end-to-end personalized summarization
 // (|V|=2000, |E|≈6000, ratio 0.5).
 func BenchmarkSummarizePegasus(b *testing.B) {
 	g := benchGraph(b, 2000, 3)
-	for i := 0; i < b.N; i++ {
-		if _, err := pegasus.Summarize(g, pegasus.Config{
-			Targets: []pegasus.NodeID{0, 1, 2}, BudgetRatio: 0.5, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuild(b, func(trace func(pegasus.IterStats)) error {
+		_, err := pegasus.Summarize(g, pegasus.Config{
+			Targets: []pegasus.NodeID{0, 1, 2}, BudgetRatio: 0.5, Seed: 1, Trace: trace,
+		})
+		return err
+	})
 }
 
-// BenchmarkSummarizeSSumM measures the SSumM baseline on the same input.
+// BenchmarkSummarizeBootShard measures one shard build shaped like a
+// perfbench boot shard: BA 6000 m=8, 30 targets, budget 0.5·Size(G) and
+// the default α, where merge scoring dominates.
+func BenchmarkSummarizeBootShard(b *testing.B) {
+	g := benchGraph(b, 6000, 8)
+	targets := graph.SampleNodes(g, 30, 8)
+	benchBuild(b, func(trace func(pegasus.IterStats)) error {
+		_, err := pegasus.Summarize(g, pegasus.Config{
+			Targets: targets, BudgetBits: 0.5 * g.SizeBits(), Seed: 8, Trace: trace,
+		})
+		return err
+	})
+}
+
+// BenchmarkSummarizeSSumM measures the SSumM baseline on the same input as
+// BenchmarkSummarizePegasus.
 func BenchmarkSummarizeSSumM(b *testing.B) {
 	g := benchGraph(b, 2000, 3)
-	for i := 0; i < b.N; i++ {
-		if _, err := pegasus.SummarizeSSumM(g, pegasus.SSumMConfig{
-			BudgetRatio: 0.5, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuild(b, func(trace func(pegasus.IterStats)) error {
+		_, err := pegasus.SummarizeSSumM(g, pegasus.SSumMConfig{
+			BudgetRatio: 0.5, Seed: 1, Trace: trace,
+		})
+		return err
+	})
 }
 
 // BenchmarkSummaryRWR measures one block-accelerated RWR query on a summary.

@@ -22,35 +22,56 @@ func selfTotals(piA, qA, dmAA float64) (t, e float64) {
 	return piA*piA - qA, dmAA
 }
 
-// pairCost returns Cost_AB (Eq. 6) in bits for a pair with ordered totals
-// (t, e), given whether the superedge is present. log2|S| bits are charged
-// per superedge endpoint; logS2 is 2·log2(|S| used for evaluation).
-func (eng *engine) pairCost(t, e float64, present bool, logS2 float64) float64 {
-	if present {
-		miss := t - e
-		if miss < 0 {
-			miss = 0 // guard float cancellation
-		}
-		bits := logS2 + eng.logV*miss
-		if eng.cfg.Encoding == BestOfTwo {
-			if alt := logS2 + entropyBits(t, e); alt < bits {
-				bits = alt
-			}
-		}
-		return bits
+// pairCosts returns Cost_AB (Eq. 6) in bits under ErrorCorrection for a
+// pair with ordered totals (t, e): with the superedge present, logS2 bits
+// for its two endpoint ids (2·log2|S| at the |S| used for evaluation) plus
+// logV = log2|V| bits per missing ordered pair; without it, logV bits per
+// ordered edge. It is the one place that formula lives. The walks call it
+// per key; it is small enough to inline, and a call there would spill the
+// walk's live floats, since Go's register ABI has no callee-saved
+// registers.
+//
+//pegasus:hotpath inlined into the per-key loops of every pair-cost walk
+func pairCosts(t, e, logV, logS2 float64) (with, without float64) {
+	miss := t - e
+	if miss < 0 {
+		miss = 0 // guard float cancellation
 	}
-	return eng.logV * e
+	return logS2 + logV*miss, logV * e
+}
+
+// cheaper returns the smaller of a pair's two costs and whether it is the
+// one with the superedge; on a tie the superedge stays out (Alg. 2 line 9
+// adds it only when presence lowers the cost).
+func cheaper(with, without float64) (float64, bool) {
+	if with < without {
+		return with, true
+	}
+	return without, false
+}
+
+// pairCost returns Cost_AB (Eq. 6) under the configured encoding, given
+// whether the superedge is present. BestOfTwo also charges a present
+// superedge at most its binomial-entropy encoding. The per-key loops call
+// it only under BestOfTwo and inline pairCosts otherwise.
+func (eng *engine) pairCost(t, e float64, present bool, logS2 float64) float64 {
+	with, without := pairCosts(t, e, eng.logV, logS2)
+	if !present {
+		return without
+	}
+	if eng.cfg.Encoding == BestOfTwo {
+		if alt := logS2 + entropyBits(t, e); alt < with {
+			with = alt
+		}
+	}
+	return with
 }
 
 // bestPairCost returns min over presence choices — used when (re)deciding
 // superedges for a merged supernode (Alg. 2 line 9) — along with the choice.
 func (eng *engine) bestPairCost(t, e float64, logS2 float64) (float64, bool) {
-	with := eng.pairCost(t, e, true, logS2)
-	without := eng.pairCost(t, e, false, logS2)
-	if with < without {
-		return with, true
-	}
-	return without, false
+	_, without := pairCosts(t, e, eng.logV, logS2)
+	return cheaper(eng.pairCost(t, e, true, logS2), without)
 }
 
 // entropyBits is the binomial-entropy encoding of a pair block: with n = t/2
@@ -78,7 +99,8 @@ func entropyBits(t, e float64) float64 {
 //
 //pegasus:hotpath runs for every slot of a merge round whose Cost_A is not memoized
 func (eng *engine) supernodeCost(a uint32, m slotMass, pos []int32) float64 {
-	logS2 := eng.logS2
+	logS2, logV := eng.logS2, eng.logV
+	bestOfTwo := eng.cfg.Encoding == BestOfTwo
 	piA, qA := eng.sumPi[a], eng.sumPiSq[a]
 	sa := eng.sedges[a]
 	for _, x := range sa {
@@ -96,7 +118,14 @@ func (eng *engine) supernodeCost(a uint32, m slotMass, pos []int32) float64 {
 		if present {
 			pos[x] = 2
 		}
-		total += eng.pairCost(t, e, present, logS2)
+		with, without := pairCosts(t, e, logV, logS2)
+		c := without
+		if bestOfTwo {
+			c = eng.pairCost(t, e, present, logS2)
+		} else if present {
+			c = with
+		}
+		total += c
 	}
 	// Superedges with zero mass: possible only when weight products
 	// underflow.
@@ -125,7 +154,14 @@ func (eng *engine) evaluateMergeInto(ea, eb *massEntry, pos []int32) (rel, abs f
 	a, b := ea.slot, eb.slot
 	costC, dmAB := eng.mergedCost(a, b, ea.slotMass, eb.slotMass, pos)
 	tAB, eAB := crossTotals(eng.sumPi[a], eng.sumPi[b], dmAB)
-	costAB := eng.pairCost(tAB, eAB, eng.hasSuperedge(a, b), eng.logS2)
+	present := eng.hasSuperedge(a, b)
+	with, without := pairCosts(tAB, eAB, eng.logV, eng.logS2)
+	costAB := without
+	if eng.cfg.Encoding == BestOfTwo {
+		costAB = eng.pairCost(tAB, eAB, present, eng.logS2)
+	} else if present {
+		costAB = with
+	}
 
 	before := ea.cost + eb.cost - costAB
 	abs = before - costC
@@ -145,7 +181,8 @@ func (eng *engine) evaluateMergeInto(ea, eb *massEntry, pos []int32) (rel, abs f
 //
 //pegasus:hotpath runs once per candidate-pair evaluation
 func (eng *engine) mergedCost(a, b uint32, ma, mb slotMass, pos []int32) (cost, dmAB float64) {
-	logS2 := eng.logS2Merged
+	logS2, logV := eng.logS2Merged, eng.logV
+	bestOfTwo := eng.cfg.Encoding == BestOfTwo
 	piC := eng.sumPi[a] + eng.sumPi[b]
 	qC := eng.sumPiSq[a] + eng.sumPiSq[b]
 	for i, x := range mb.keys {
@@ -170,7 +207,10 @@ func (eng *engine) mergedCost(a, b uint32, ma, mb slotMass, pos []int32) (cost, 
 			pos[x] = -j
 		}
 		t, e := crossTotals(piC, eng.sumPi[x], ma.vals[i]+dmB)
-		c, _ := eng.bestPairCost(t, e, logS2)
+		c, _ := cheaper(pairCosts(t, e, logV, logS2))
+		if bestOfTwo {
+			c, _ = eng.bestPairCost(t, e, logS2)
+		}
 		total += c
 	}
 	for i, x := range mb.keys {
@@ -183,14 +223,20 @@ func (eng *engine) mergedCost(a, b uint32, ma, mb slotMass, pos []int32) (cost, 
 			continue // a, b, or already handled above
 		}
 		t, e := crossTotals(piC, eng.sumPi[x], mb.vals[i])
-		c, _ := eng.bestPairCost(t, e, logS2)
+		c, _ := cheaper(pairCosts(t, e, logV, logS2))
+		if bestOfTwo {
+			c, _ = eng.bestPairCost(t, e, logS2)
+		}
 		total += c
 	}
 	// Self pair of the merged supernode: ordered intra mass
 	// dm_AA + dm_BB + 2·m_AB.
 	dmCC := dmAA + dmBB + 2*dmAB
 	t, e := selfTotals(piC, qC, dmCC)
-	c, _ := eng.bestPairCost(t, e, logS2)
+	c, _ := cheaper(pairCosts(t, e, logV, logS2))
+	if bestOfTwo {
+		c, _ = eng.bestPairCost(t, e, logS2)
+	}
 	return total + c, dmAB
 }
 
@@ -225,7 +271,8 @@ func (eng *engine) performMergeWith(a, b uint32, ma, mb slotMass) {
 	eng.numSuper--
 	eng.setLogS()
 
-	logS2 := eng.logS2
+	logS2, logV := eng.logS2, eng.logV
+	bestOfTwo := eng.cfg.Encoding == BestOfTwo
 	piC, qC := eng.sumPi[a], eng.sumPiSq[a]
 
 	// a's list is rebuilt unsorted and sorted once at the end; each kept
@@ -237,7 +284,11 @@ func (eng *engine) performMergeWith(a, b uint32, ma, mb slotMass) {
 		} else {
 			t, e = crossTotals(piC, eng.sumPi[x], dm)
 		}
-		if _, present := eng.bestPairCost(t, e, logS2); !present {
+		_, present := cheaper(pairCosts(t, e, logV, logS2))
+		if bestOfTwo {
+			_, present = eng.bestPairCost(t, e, logS2)
+		}
+		if !present {
 			return
 		}
 		eng.sedges[a] = append(eng.sedges[a], x)

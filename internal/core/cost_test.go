@@ -170,8 +170,16 @@ func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bit
 // written out here rather than called. The engine's predicted reduction
 // must equal before − after, and every superedge incident to the merged
 // supernode must be present exactly when presence is cheaper (Alg. 2
-// line 9).
+// line 9). It runs under both encodings: PeGaSus's error correction at a
+// random α, and the SSumM preset's best of two at α = 1.
 func TestMergeReductionMatchesBruteForce(t *testing.T) {
+	t.Run("error-correction", func(t *testing.T) { checkMergeReductions(t, ErrorCorrection) })
+	t.Run("best-of-two", func(t *testing.T) { checkMergeReductions(t, BestOfTwo) })
+}
+
+// checkMergeReductions runs the random-merge oracle loop of
+// TestMergeReductionMatchesBruteForce under one encoding.
+func checkMergeReductions(t *testing.T, enc Encoding) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(53) // at most 60 nodes
@@ -191,12 +199,17 @@ func TestMergeReductionMatchesBruteForce(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			targets = graph.SampleNodes(g, 1+rng.Intn(4), seed)
 		}
-		e := newTestEngine(t, g, Config{Targets: targets, Alpha: 1 + rng.Float64(), Seed: seed})
+		alpha := 1 + rng.Float64()
+		if enc == BestOfTwo {
+			alpha = 1 // SSumM's uniform weights, under which t and e count pairs and edges
+		}
+		e := newTestEngine(t, g, Config{Targets: targets, Alpha: alpha, Seed: seed, Encoding: enc})
 		w, err := weights.New(g, e.cfg.Targets, e.cfg.Alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := newCostOracle(g, w)
+		o.bestOfTwo = enc == BestOfTwo
 		for step := 0; ; step++ {
 			slots := e.aliveSlots()
 			if len(slots) < 2 {
@@ -251,6 +264,9 @@ type costOracle struct {
 	sumSq []float64 // slot -> Q
 	mass  []float64 // |V|×|V| by slot pair: unordered weighted edge mass m_XY
 	numS  int
+	// bestOfTwo also charges a present superedge at most the binomial
+	// entropy of its block (the SSumM encoding).
+	bestOfTwo bool
 }
 
 func newCostOracle(g *graph.Graph, w *weights.Weights) *costOracle {
@@ -286,10 +302,13 @@ func (o *costOracle) load(e *engine) {
 	}
 }
 
-// pairCost is Cost_XY of Eq. (6) under ErrorCorrection, in the ordered
-// convention of Eq. (1): t ordered pairs, e ordered edge mass; a present
-// superedge costs its two endpoint ids plus log2|V| bits per missing
-// ordered pair, an absent one log2|V| bits per ordered edge.
+// pairCost is Cost_XY of Eq. (6), in the ordered convention of Eq. (1):
+// t ordered pairs, e ordered edge mass; a present superedge costs its two
+// endpoint ids plus log2|V| bits per missing ordered pair, an absent one
+// log2|V| bits per ordered edge. Under bestOfTwo a present superedge costs
+// its endpoint ids plus the cheaper of the error correction and the
+// block's binomial entropy n·H2(k/n), with n = t/2 unordered pairs of which
+// k = e/2 are edges.
 func (o *costOracle) pairCost(x, y uint32, present bool) float64 {
 	var t, em float64
 	if x == y {
@@ -302,9 +321,23 @@ func (o *costOracle) pairCost(x, y uint32, present bool) float64 {
 	logV := math.Log2(math.Max(float64(o.g.NumNodes()), 2))
 	if present {
 		logS := math.Log2(math.Max(float64(o.numS), 2)) // Eq. (3) charges log2 2 below two supernodes
-		return 2*logS + logV*math.Max(t-em, 0)
+		bits := logV * math.Max(t-em, 0)
+		if o.bestOfTwo {
+			bits = math.Min(bits, blockEntropy(t/2, em/2))
+		}
+		return 2*logS + bits
 	}
 	return logV * em
+}
+
+// blockEntropy is n·H2(k/n), the bits that encode which k of n pairs are
+// edges, written as k·log2(n/k) + (n−k)·log2(n/(n−k)); an empty or full
+// block costs nothing.
+func blockEntropy(n, k float64) float64 {
+	if k <= 0 || k >= n {
+		return 0
+	}
+	return k*math.Log2(n/k) + (n-k)*math.Log2(n/(n-k))
 }
 
 // slotCost is Cost_X of Eq. (9): Cost_XY summed over every supernode Y,

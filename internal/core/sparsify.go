@@ -6,7 +6,8 @@ import "sort"
 // Superedges are dropped in increasing order of the cost the pair carries
 // once dropped — its error-correction cost log2|V|·(ordered edge mass) — so
 // the superedges whose removal introduces the least weighted error go first
-// (see DESIGN.md §4 for why we read "increasing order of Cost_AB" this way).
+// (DESIGN.md "Sparsification order" gives why "increasing order of Cost_AB"
+// is read this way).
 // Returns the number of superedges removed.
 func (e *engine) sparsify(budgetBits float64) int {
 	if e.sizeBits() <= budgetBits || e.numP == 0 {

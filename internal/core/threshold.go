@@ -26,7 +26,7 @@ type ThresholdPolicy interface {
 // exhibit (its Fig. 7 curves reach ratio 0.1, which on Caida requires
 // merging to ~60 of 26k supernodes within t_max = 20 iterations). The cap
 // restores that guaranteed decay while keeping the data-driven quantile in
-// charge whenever it is the smaller of the two; see DESIGN.md §4.
+// charge whenever it is the smaller of the two; see DESIGN.md "The θ cap".
 type AdaptiveThreshold struct {
 	// Beta ∈ (0,1]: larger values decrease θ faster (§III-E). Beta ≈ 0
 	// selects the largest rejected entry (slowest decay).

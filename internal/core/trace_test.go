@@ -87,6 +87,36 @@ func TestWorkCountsPinned(t *testing.T) {
 	}
 }
 
+// TestWorkIsLinearInEdges checks the linear-time claim (Alg. 1) on exact
+// counts rather than wall time: on Barabási–Albert graphs (m = 8) of 2000
+// and 20,000 nodes, with 1% of V as targets and budget 0.7, the neighbour
+// visits and the unique pairs scored per edge may differ by at most a
+// factor 1.5 between the two sizes. Work that grew as |E|^1.18 or faster
+// would break the bound. The counters repeat exactly for a fixed graph and
+// config, so the test cannot flake.
+func TestWorkIsLinearInEdges(t *testing.T) {
+	perEdge := func(n int) (visits, pairs float64) {
+		g := gen.BarabasiAlbert(n, 8, 1)
+		w := buildWorkTotals(t, g, Config{Targets: graph.SampleNodes(g, n/100, 1), BudgetRatio: 0.7, Seed: 1})
+		m := float64(g.NumEdges())
+		return float64(w.NeighborVisits) / m, float64(w.PairsScored) / m
+	}
+	smallVisits, smallPairs := perEdge(2000)
+	largeVisits, largePairs := perEdge(20000)
+	for _, c := range []struct {
+		name         string
+		small, large float64
+	}{
+		{"neighbour visits", smallVisits, largeVisits},
+		{"pairs scored", smallPairs, largePairs},
+	} {
+		t.Logf("%s per edge: %.3f at 2000 nodes, %.3f at 20000", c.name, c.small, c.large)
+		if r := c.large / c.small; !(r >= 1/1.5 && r <= 1.5) {
+			t.Errorf("%s per edge went from %.3f to %.3f (×%.2f) for 10× the nodes", c.name, c.small, c.large, r)
+		}
+	}
+}
+
 // buildWorkTotals summarizes g under cfg with a trace attached, checks each
 // build.merge span's counters against the iteration's IterStats and
 // returns the build's totals.

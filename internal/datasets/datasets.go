@@ -3,9 +3,9 @@
 // Skitter, Wikipedia) plus a billion-edge Barabási–Albert synthetic. This
 // module is offline, so each real graph is replaced by a deterministic
 // synthetic stand-in of the same *family* at reduced scale (see DESIGN.md
-// §3): planted-partition SBMs for the community-rich social/collaboration/
-// co-purchase graphs and preferential-attachment graphs for the heavy-tailed
-// internet/hyperlink graphs. Like the paper (§V-A), every graph is reduced
+// "Dataset stand-ins"): planted-partition SBMs for the community-rich
+// social/collaboration/co-purchase graphs and preferential-attachment
+// graphs for the heavy-tailed internet/hyperlink graphs. Like the paper (§V-A), every graph is reduced
 // to its largest connected component with self-loops removed (the builders
 // already drop self-loops).
 package datasets

@@ -14,7 +14,8 @@ import (
 // and the BA synthetic; PeGaSus summarization time is measured with |T| =
 // 100 and |T| = |V|/2, and a log–log regression slope over the edge counts
 // is reported (the paper's slope-1 reference line). The paper's billion-edge
-// graph is substituted by the reduced ST stand-in (DESIGN.md §3).
+// graph is substituted by the reduced ST stand-in (DESIGN.md "Dataset
+// stand-ins").
 func Fig6(sc Scale) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 6 — scalability: summarization time vs |E| (slope ~1 = linear)",

@@ -6,8 +6,8 @@ import (
 )
 
 // Table2 reproduces Table II: the dataset inventory. Our numbers are the
-// synthetic stand-ins' (reduced ~100×; see DESIGN.md §3); the Paper columns
-// echo the original sizes for comparison.
+// synthetic stand-ins' (10–2,500× fewer nodes; see DESIGN.md "Dataset
+// stand-ins"); the Paper columns echo the original sizes for comparison.
 func Table2(sc Scale) (*Table, error) {
 	t := &Table{
 		Title:  "Table II — datasets (synthetic stand-ins; paper sizes for reference)",

@@ -9,7 +9,7 @@
 // dense [0, n) space the engine requires (ascending by raw ID, so the
 // mapping is a pure function of the edge set).
 //
-// Like the build pipeline (DESIGN.md §"Parallel build pipeline"), ingestion
+// Like the build pipeline (DESIGN.md "The parallel build pipeline"), ingestion
 // is bit-identical for every worker count: chunking only changes which
 // worker first sees a line, and every downstream step — ID table, remap,
 // sort, dedup, CSR assembly — canonicalizes. Malformed input never panics;

@@ -18,7 +18,8 @@ import (
 //     edge-cut objectives across rounds, escaping fanout-flat plateaus.
 //
 // These are clean-room reimplementations of the published ideas (see
-// DESIGN.md §3); Fig. 12 treats them as a family of partitioning baselines.
+// DESIGN.md "Partitioning baselines"); Fig. 12 treats them as a family of
+// partitioning baselines.
 
 // fanoutGain computes the exact change in total fanout if u moves from part
 // a to part b: every neighbor v loses a fanout unit if u was its only

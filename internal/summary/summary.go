@@ -94,13 +94,11 @@ func (b *Builder) Build() *Summary {
 		numP:    len(b.edges),
 		maxW:    0,
 	}
+	// Nodes are visited in ascending order, so every member list is sorted.
 	for u, label := range b.superOf {
 		d := b.dense[label]
 		s.superOf[u] = d
 		s.members[d] = append(s.members[d], graph.NodeID(u))
-	}
-	for _, m := range s.members {
-		sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
 	}
 	for e, w := range b.edges {
 		a, c := e[0], e[1]

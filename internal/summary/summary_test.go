@@ -3,7 +3,9 @@ package summary
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pegasus/internal/graph"
@@ -51,6 +53,31 @@ func TestMembershipAndMembers(t *testing.T) {
 	ms := s.Members(a)
 	if len(ms) != 2 || ms[0] != 0 || ms[1] != 1 {
 		t.Fatalf("Members(A) = %v, want [0 1]", ms)
+	}
+
+	// Labels shuffled across the nodes: each member list must still be
+	// ascending, and the lists must partition V.
+	rng := rand.New(rand.NewSource(1))
+	superOf := make([]uint32, 60)
+	for u := range superOf {
+		superOf[u] = 1000*uint32(rng.Intn(7)) + 3
+	}
+	s = NewBuilder(superOf).Build()
+	seen := 0
+	for a := range uint32(s.NumSupernodes()) {
+		ms := s.Members(a)
+		if !slices.IsSorted(ms) {
+			t.Errorf("Members(%d) = %v, not ascending", a, ms)
+		}
+		for _, u := range ms {
+			if s.Supernode(u) != a {
+				t.Errorf("node %d listed in supernode %d, mapped to %d", u, a, s.Supernode(u))
+			}
+		}
+		seen += len(ms)
+	}
+	if seen != len(superOf) {
+		t.Errorf("member lists hold %d nodes, want %d", seen, len(superOf))
 	}
 }
 
