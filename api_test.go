@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pegasus"
@@ -65,16 +67,36 @@ func TestPublicAPISummaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	sp := filepath.Join(dir, "s.bin")
-	if err := res.Summary.SaveFile(sp); err != nil {
-		t.Fatal(err)
+	// save writes an artifact file the way pegasus -out does.
+	save := func(name string, a pegasus.Artifact) string {
+		var buf bytes.Buffer
+		if err := pegasus.EncodeArtifact(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	s2, err := pegasus.LoadSummary(sp)
+	s2, err := pegasus.LoadSummary(save("s.bin", pegasus.Artifact{Summary: res.Summary}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.NumSupernodes() != res.Summary.NumSupernodes() {
-		t.Fatal("summary round trip changed shape")
+	if s2.NumSuperedges() != res.Summary.NumSuperedges() || !slices.Equal(s2.SupernodeOf(), res.Summary.SupernodeOf()) {
+		t.Fatal("summary round trip changed the summary")
+	}
+	if _, err := pegasus.LoadSummary(save("g.bin", pegasus.Artifact{Subgraph: g})); err == nil {
+		t.Fatal("LoadSummary accepted a subgraph artifact")
+	}
+	// A file in the earlier PGSS summary format (magic, then |V|, |S| and
+	// |P| as 8-byte words: here an empty summary) is refused as corrupt.
+	pgss := filepath.Join(dir, "pgss.bin")
+	if err := os.WriteFile(pgss, append([]byte("PGSS"), make([]byte, 24)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pegasus.LoadSummary(pgss); !errors.Is(err, pegasus.ErrArtifactCorrupt) {
+		t.Fatalf("PGSS file: err = %v, want one wrapping ErrArtifactCorrupt", err)
 	}
 }
 
@@ -257,10 +279,10 @@ func TestPublicAPIArtifactStore(t *testing.T) {
 		t.Fatalf("warm: loaded=%d rebuilt=%d, want 4/0", st.Loaded, st.Rebuilt)
 	}
 	var a, b bytes.Buffer
-	if err := cold.Machines[0].Summary.Write(&a); err != nil {
+	if err := pegasus.EncodeArtifact(&a, pegasus.Artifact{Summary: cold.Machines[0].Summary}); err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.Machines[0].Summary.Write(&b); err != nil {
+	if err := pegasus.EncodeArtifact(&b, pegasus.Artifact{Summary: warm.Machines[0].Summary}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -36,6 +36,7 @@ import (
 
 	"pegasus"
 	"pegasus/internal/datasets"
+	"pegasus/internal/persist"
 )
 
 // Result is one benchmark row: op latency statistics for a named build
@@ -267,14 +268,7 @@ func main() {
 	// Correctness anchor: transplanted shard summaries must be bit-identical
 	// to the from-scratch build of the same configuration.
 	for i := 0; i < *shards; i++ {
-		var a, b bytes.Buffer
-		if err := incrC.Machines[i].Summary.Write(&a); err != nil {
-			fatal("serialize incremental shard %d: %v", i, err)
-		}
-		if err := fullC.Machines[i].Summary.Write(&b); err != nil {
-			fatal("serialize full shard %d: %v", i, err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(artifactBytes(incrC, i), artifactBytes(fullC, i)) {
 			fatal("shard %d: incremental rebuild artifact differs from the full rebuild — reuse changed results", i)
 		}
 	}
@@ -342,14 +336,7 @@ func main() {
 	// Correctness anchor: disk-loaded shard summaries must be bit-identical
 	// to the cold build's.
 	for i := 0; i < *shards; i++ {
-		var a, b bytes.Buffer
-		if err := warmC.Machines[i].Summary.Write(&a); err != nil {
-			fatal("serialize warm shard %d: %v", i, err)
-		}
-		if err := coldC.Machines[i].Summary.Write(&b); err != nil {
-			fatal("serialize cold shard %d: %v", i, err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(artifactBytes(warmC, i), artifactBytes(coldC, i)) {
 			fatal("shard %d: warm-start artifact differs from the cold build — persistence changed results", i)
 		}
 	}
@@ -516,6 +503,16 @@ func runScaleArm(name, code string, scale float64, shards, queries int, budget f
 }
 
 func durMs(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// artifactBytes encodes shard i's summary as the artifact codec stores it,
+// the byte-identity yardstick of the correctness anchors.
+func artifactBytes(c *pegasus.Cluster, i int) []byte {
+	raw, err := persist.EncodeBytes(persist.Artifact{Summary: c.Machines[i].Summary})
+	if err != nil {
+		fatal("encode shard %d: %v", i, err)
+	}
+	return raw
+}
 
 // rssBytes reads the resident set size from /proc/self/statm; 0 where /proc
 // is unavailable (the field is informational, never gated on).

@@ -8,9 +8,8 @@
 //	pegasus-experiments -list
 //
 // Profiles: quick (seconds), default (tens of seconds), full (minutes). The
-// per-experiment index mapping experiment IDs to the paper's tables/figures
-// lives in DESIGN.md; measured-vs-paper results are recorded in
-// EXPERIMENTS.md.
+// ID table in EXPERIMENTS.md maps experiment IDs to the paper's tables and
+// figures.
 package main
 
 import (

@@ -1,6 +1,7 @@
-// Command pegasus-query answers node-similarity queries on a saved summary
-// graph and (optionally) compares them with exact answers on the original
-// graph.
+// Command pegasus-query answers node-similarity queries on a summary graph
+// saved by pegasus -out (a checksummed artifact, read with
+// pegasus.LoadSummary) and (optionally) compares them with exact answers on
+// the original graph.
 //
 // Usage:
 //

@@ -5,12 +5,14 @@
 //	pegasus -in graph.txt -ratio 0.5 -targets 3,17,42 -out summary.bin
 //
 // The input is a whitespace-separated edge list ("u v" per line, '#'
-// comments). The output is a binary summary loadable with
-// pegasus.LoadSummary (or the pegasus-query tool). With -stats, per-
-// iteration engine telemetry is printed to stderr.
+// comments). The output is the summary as a checksummed artifact, the
+// format pegasus.EncodeArtifact writes and pegasus.LoadSummary (or the
+// pegasus-query tool) reads. With -stats, per-iteration engine telemetry is
+// printed to stderr.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -81,7 +83,11 @@ func main() {
 		res.Iterations, res.DroppedSuperedges, res.BudgetMet)
 	fmt.Print(s.Describe())
 	if *out != "" {
-		if err := s.SaveFile(*out); err != nil {
+		var buf bytes.Buffer
+		if err := pegasus.EncodeArtifact(&buf, pegasus.Artifact{Summary: s}); err != nil {
+			fatal("encode summary: %v", err)
+		}
+		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
 			fatal("save summary: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *out)

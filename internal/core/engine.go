@@ -217,15 +217,29 @@ func (e *engine) aliveSlots() []uint32 {
 	return out
 }
 
-// buildSummary freezes the engine state into an immutable Summary.
+// buildSummary freezes the engine state into an immutable Summary. Live
+// slots are numbered in order of first occurrence over the nodes, the
+// supernode IDs summary.New takes.
 func (e *engine) buildSummary() *summary.Summary {
-	b := summary.NewBuilder(e.superOf)
-	for a, se := range e.sedges {
-		for _, x := range se {
-			if x >= uint32(a) {
-				b.AddSuperedge(uint32(a), x, 1)
+	id := make([]uint32, len(e.members)) // slot -> supernode ID + 1; 0 = not seen yet
+	slots := make([]uint32, 0, e.numSuper)
+	superOf := make([]uint32, len(e.superOf))
+	for u, x := range e.superOf {
+		if id[x] == 0 {
+			slots = append(slots, x)
+			id[x] = uint32(len(slots))
+		}
+		superOf[u] = id[x] - 1
+	}
+	// File each superedge {d,a}, d ≤ a, under d while a ascends, so every
+	// upper list comes out sorted.
+	upper := make([][]uint32, len(slots))
+	for a, x := range slots {
+		for _, y := range e.sedges[x] {
+			if d := id[y] - 1; d <= uint32(a) {
+				upper[d] = append(upper[d], uint32(a))
 			}
 		}
 	}
-	return b.Build()
+	return summary.New(superOf, upper, nil)
 }

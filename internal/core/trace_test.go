@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"strconv"
 	"testing"
@@ -29,15 +28,8 @@ func TestTracingDoesNotPerturbSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var a, b bytes.Buffer
-	if err := plain.Summary.Write(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := traced.Summary.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("traced build produced a different artifact than the untraced build")
+	if fingerprintSummary(plain.Summary) != fingerprintSummary(traced.Summary) {
+		t.Fatal("traced build produced a different summary than the untraced build")
 	}
 	if plain.Iterations != traced.Iterations || plain.FinalTheta != traced.FinalTheta {
 		t.Fatalf("traced build diverged: iterations %d vs %d, theta %v vs %v",

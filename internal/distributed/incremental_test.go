@@ -8,6 +8,7 @@ import (
 	"pegasus/internal/core"
 	"pegasus/internal/graph"
 	"pegasus/internal/partition"
+	"pegasus/internal/persist"
 	"pegasus/internal/summary"
 )
 
@@ -46,11 +47,11 @@ func dropHalfOfPart(g *graph.Graph, labels []uint32, part uint32) []graph.NodeID
 
 func summaryBytes(t *testing.T, s *summary.Summary) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
+	raw, err := persist.EncodeBytes(persist.Artifact{Summary: s})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return raw
 }
 
 // TestIncrementalRebuildReusesBitIdentical is the tentpole's safety pin: a

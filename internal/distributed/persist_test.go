@@ -38,11 +38,7 @@ func writeAll(t *testing.T, c *Cluster) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(c.Machines))
 	for i, m := range c.Machines {
-		var b bytes.Buffer
-		if err := m.Summary.Write(&b); err != nil {
-			t.Fatal(err)
-		}
-		out[i] = b.Bytes()
+		out[i] = summaryBytes(t, m.Summary)
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 type Runner func(Scale) (*Table, error)
 
 // registry maps experiment IDs (as used by cmd/pegasus-experiments and the
-// per-experiment index in DESIGN.md) to runners.
+// ID table in EXPERIMENTS.md) to runners.
 var registry = map[string]Runner{
 	"table2":   Table2,
 	"fig5":     Fig5,

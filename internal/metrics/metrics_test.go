@@ -130,12 +130,7 @@ func TestPersonalizedErrorMatchesBruteForce(t *testing.T) {
 	for u := range superOf {
 		superOf[u] = uint32(u % 8)
 	}
-	sb := summary.NewBuilder(superOf)
-	sb.AddSuperedge(0, 1, 1)
-	sb.AddSuperedge(2, 3, 1)
-	sb.AddSuperedge(4, 4, 1)
-	sb.AddSuperedge(5, 7, 1)
-	s := sb.Build()
+	s := summary.New(superOf, [][]uint32{{1}, nil, {3}, nil, {4}, {7}, nil, nil}, nil)
 
 	for _, tc := range []struct {
 		targets []graph.NodeID
@@ -177,9 +172,7 @@ func TestReconstructionErrorCountsFlips(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)
 	g := b.Build()
-	sb := summary.NewBuilder([]uint32{0, 0, 0})
-	sb.AddSuperedge(0, 0, 1)
-	s := sb.Build()
+	s := summary.New([]uint32{0, 0, 0}, [][]uint32{{0}}, nil)
 	if got := ReconstructionError(g, s); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("error = %v, want 4 (ordered convention)", got)
 	}

@@ -205,9 +205,11 @@ func encodeSummary(w io.Writer, s *summary.Summary) error {
 
 // decodeSummary parses a summary payload, enforcing every invariant the
 // encoder guarantees: member lists partition [0,|V|), supernodes appear in
-// first-member order (so the rebuilt Builder's dense remap is the identity
-// and re-encoding is byte-stable), superedges stay in range, and weights are
-// positive with at least one ≠ 1 iff the weighted flag is set.
+// first-member order (the first-occurrence numbering summary.New takes, so
+// re-encoding is byte-stable), superedges stay in the upper triangle of
+// |S|, and weights are positive with at least one ≠ 1 iff the weighted flag
+// is set. It hands the validated lists to summary.New, which checks
+// nothing: this is the only path from outside bytes to a Summary.
 func decodeSummary(r *bitio.Reader, payloadLen int) (*summary.Summary, error) {
 	n64 := r.Uvarint()
 	ns64 := r.Uvarint()
@@ -243,8 +245,8 @@ func decodeSummary(r *bitio.Reader, payloadLen int) (*summary.Summary, error) {
 		}
 		// First members strictly increase across supernodes exactly when the
 		// IDs follow first-occurrence order — the canonical labeling every
-		// Builder-built summary has. Anything else would re-encode
-		// differently, so it cannot have come from Encode.
+		// summary has. Anything else would re-encode differently, so it
+		// cannot have come from Encode.
 		if int64(ms[0]) <= prevFirst {
 			return nil, corrupt("members", fmt.Errorf("supernode %d out of first-occurrence order", a))
 		}
@@ -266,49 +268,47 @@ func decodeSummary(r *bitio.Reader, payloadLen int) (*summary.Summary, error) {
 		}
 	}
 
-	type edge struct {
-		a, b uint32
-	}
-	var edges []edge
-	for a := 0; a < ns; a++ {
-		upper := r.Deltas(ns - a)
+	upper := make([][]uint32, ns)
+	for a := range upper {
+		bs := r.Deltas(ns - a)
 		if err := r.Err(); err != nil {
 			return nil, corrupt(fmt.Sprintf("superneighbors of %d", a), err)
 		}
-		for _, b := range upper {
+		for _, b := range bs {
 			if b < uint32(a) || int(b) >= ns {
 				return nil, corrupt("superedge", fmt.Errorf("{%d,%d} outside the upper triangle of |S|=%d", a, b, ns))
 			}
-			edges = append(edges, edge{uint32(a), b})
 		}
+		upper[a] = bs
 	}
-
-	b := summary.NewBuilder(superOf)
+	if !weighted {
+		return summary.New(superOf, upper, nil), nil
+	}
+	weights := make([][]float64, ns)
 	sawNonUnit := false
-	for _, e := range edges {
-		wt := 1.0
-		if weighted {
-			wt = r.Float64()
+	for a, bs := range upper {
+		weights[a] = make([]float64, len(bs))
+		for i, b := range bs {
+			wt := r.Float64()
 			if err := r.Err(); err != nil {
 				return nil, corrupt("superedge weight", err)
 			}
-			// wt > 0 is false for NaN too, so this also keeps NaN out of the
-			// Builder (whose own check would let NaN through).
+			// wt > 0 is false for NaN too, so this also keeps NaN out.
 			if !(wt > 0) {
-				return nil, corrupt("superedge weight", fmt.Errorf("non-positive weight %v on {%d,%d}", wt, e.a, e.b))
+				return nil, corrupt("superedge weight", fmt.Errorf("non-positive weight %v on {%d,%d}", wt, a, b))
 			}
 			if wt != 1 {
 				sawNonUnit = true
 			}
+			weights[a][i] = wt
 		}
-		b.AddSuperedge(e.a, e.b, wt)
 	}
-	if weighted && !sawNonUnit {
+	if !sawNonUnit {
 		// All-1 weights encode with the flag clear; a set flag over unit
 		// weights is non-canonical and would not re-encode to itself.
 		return nil, corrupt("flags", errors.New("weighted flag set but every weight is 1"))
 	}
-	return b.Build(), nil
+	return summary.New(superOf, upper, weights), nil
 }
 
 // encodeSubgraph writes the subgraph payload: |V| then each node's sorted

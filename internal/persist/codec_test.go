@@ -10,25 +10,40 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"pegasus/internal/bitio"
 	"pegasus/internal/graph"
 	"pegasus/internal/summary"
 )
 
-// randomSummary builds a structurally valid summary over n nodes with up to
-// maxS supernode labels and nEdges random superedges. weighted draws random
-// positive weights (which may or may not include non-unit ones — the flag is
-// derived from the data, and both outcomes are worth round-tripping).
+// randomSummary draws a canonical summary over n nodes with up to maxS
+// supernodes and nEdges random superedges. weighted draws random positive
+// weights (which may or may not include non-unit ones — the flag is derived
+// from the data, and both outcomes are worth round-tripping).
 func randomSummary(rng *rand.Rand, n, maxS, nEdges int, weighted bool) *summary.Summary {
+	// Each node joins an open supernode or opens the next one, so the IDs
+	// follow first occurrence.
 	superOf := make([]uint32, n)
+	ns := 0
 	for u := range superOf {
-		superOf[u] = uint32(rng.Intn(maxS))
+		a := rng.Intn(min(ns+1, maxS))
+		ns = max(ns, a+1)
+		superOf[u] = uint32(a)
 	}
-	b := summary.NewBuilder(superOf)
+	// wt[a][b], a ≤ b, is the weight of superedge {a,b}, 0 when absent; a
+	// redrawn superedge keeps its last weight.
+	wt := make([][]float64, ns)
+	for a := range wt {
+		wt[a] = make([]float64, ns)
+	}
 	for i := 0; i < nEdges; i++ {
-		la := superOf[rng.Intn(n)]
-		lb := superOf[rng.Intn(n)]
+		a := superOf[rng.Intn(n)]
+		b := superOf[rng.Intn(n)]
+		if a > b {
+			a, b = b, a
+		}
 		w := 1.0
 		if weighted {
 			switch rng.Intn(4) {
@@ -45,9 +60,19 @@ func randomSummary(rng *rand.Rand, n, maxS, nEdges int, weighted bool) *summary.
 				}
 			}
 		}
-		b.AddSuperedge(la, lb, w)
+		wt[a][b] = w
 	}
-	return b.Build()
+	upper := make([][]uint32, ns)
+	weights := make([][]float64, ns)
+	for a := range wt {
+		for b := a; b < ns; b++ {
+			if wt[a][b] > 0 {
+				upper[a] = append(upper[a], uint32(b))
+				weights[a] = append(weights[a], wt[a][b])
+			}
+		}
+	}
+	return summary.New(superOf, upper, weights)
 }
 
 // caseSummaries enumerates the codec's edge cases plus randomized instances:
@@ -59,29 +84,23 @@ func caseSummaries(t testing.TB) map[string]*summary.Summary {
 	cases := map[string]*summary.Summary{}
 
 	// Empty: zero nodes, zero supernodes, zero superedges.
-	cases["empty"] = summary.NewBuilder(nil).Build()
+	cases["empty"] = summary.New(nil, nil, nil)
 
 	// Single supernode holding every node, with a max-weight self-loop.
-	all := make([]uint32, 9)
-	b := summary.NewBuilder(all)
-	b.AddSuperedge(0, 0, math.MaxFloat64)
-	cases["single-supernode-max-weight"] = b.Build()
+	cases["single-supernode-max-weight"] = summary.New(make([]uint32, 9), [][]uint32{{0}}, [][]float64{{math.MaxFloat64}})
 
 	// Single supernode, no superedges at all.
-	cases["single-supernode-no-edges"] = summary.NewBuilder(make([]uint32, 5)).Build()
+	cases["single-supernode-no-edges"] = summary.New(make([]uint32, 5), make([][]uint32, 1), nil)
 
-	// Dense self-loops: every supernode has a self-loop plus a ring of
-	// superedges, weighted.
+	// Dense self-loops: every supernode a of six has a self-loop of weight
+	// a+0.5 plus a ring of superedges of weight 2.
 	superOf := make([]uint32, 24)
 	for u := range superOf {
 		superOf[u] = uint32(u % 6)
 	}
-	b = summary.NewBuilder(superOf)
-	for a := uint32(0); a < 6; a++ {
-		b.AddSuperedge(a, a, float64(a)+0.5)
-		b.AddSuperedge(a, (a+1)%6, 2.0)
-	}
-	cases["dense-self-loops"] = b.Build()
+	cases["dense-self-loops"] = summary.New(superOf,
+		[][]uint32{{0, 1, 5}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5}},
+		[][]float64{{0.5, 2, 2}, {1.5, 2}, {2.5, 2}, {3.5, 2}, {4.5, 2}, {5.5}})
 
 	// Identity summary of a generated graph: unweighted, many supernodes.
 	gb := graph.NewBuilder(30)
@@ -121,8 +140,7 @@ func caseSubgraphs(t testing.TB) map[string]*graph.Graph {
 
 // TestSummaryRoundTrip pins the codec's central property on summaries:
 // Encode(Decode(x)) == x byte-for-byte, the decoded summary is structurally
-// valid, and its legacy Write serialization — the byte-identity yardstick
-// the incremental-rebuild tests use — matches the original's exactly.
+// valid, and it answers every accessor exactly as the original does.
 func TestSummaryRoundTrip(t *testing.T) {
 	cases := caseSummaries(t)
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
@@ -149,15 +167,23 @@ func TestSummaryRoundTrip(t *testing.T) {
 			if !bytes.Equal(enc, re) {
 				t.Fatalf("Encode(Decode(x)) != x: %d vs %d bytes", len(re), len(enc))
 			}
-			var w1, w2 bytes.Buffer
-			if err := s.Write(&w1); err != nil {
-				t.Fatal(err)
+			got := a.Summary
+			if !slices.Equal(got.SupernodeOf(), s.SupernodeOf()) {
+				t.Fatal("decoded SupernodeOf differs from the original's")
 			}
-			if err := a.Summary.Write(&w2); err != nil {
-				t.Fatal(err)
+			if got.NumSuperedges() != s.NumSuperedges() || got.Weighted() != s.Weighted() || got.MaxWeight() != s.MaxWeight() {
+				t.Fatalf("decoded |P|=%d weighted=%v max=%v, want %d %v %v", got.NumSuperedges(), got.Weighted(),
+					got.MaxWeight(), s.NumSuperedges(), s.Weighted(), s.MaxWeight())
 			}
-			if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
-				t.Fatal("decoded summary's Write bytes differ from the original's — bit-identity broken")
+			for x := range uint32(s.NumSupernodes()) {
+				if !slices.Equal(got.Members(x), s.Members(x)) {
+					t.Fatalf("decoded Members(%d) = %v, want %v", x, got.Members(x), s.Members(x))
+				}
+				gn, gw := got.SuperNeighbors(x)
+				sn, sw := s.SuperNeighbors(x)
+				if !slices.Equal(gn, sn) || !slices.Equal(gw, sw) {
+					t.Fatalf("decoded SuperNeighbors(%d) = %v %v, want %v %v", x, gn, gw, sn, sw)
+				}
 			}
 		})
 	}
@@ -201,7 +227,7 @@ func TestEncodeRejectsAmbiguousArtifact(t *testing.T) {
 	if _, err := EncodeBytes(Artifact{}); err == nil {
 		t.Error("encoding an empty artifact succeeded")
 	}
-	s := summary.NewBuilder(make([]uint32, 3)).Build()
+	s := summary.New(make([]uint32, 3), make([][]uint32, 1), nil)
 	g := graph.FromEdges(3, nil)
 	if _, err := EncodeBytes(Artifact{Summary: s, Subgraph: g}); err == nil {
 		t.Error("encoding a two-kind artifact succeeded")
@@ -220,12 +246,8 @@ func fixCRC(data []byte) []byte {
 // referenceEncoding returns one representative valid artifact encoding.
 func referenceEncoding(t testing.TB) []byte {
 	t.Helper()
-	superOf := []uint32{0, 0, 1, 1, 2}
-	b := summary.NewBuilder(superOf)
-	b.AddSuperedge(0, 1, 1)
-	b.AddSuperedge(1, 2, 2.5)
-	b.AddSuperedge(2, 2, 0.25)
-	enc, err := EncodeBytes(Artifact{Summary: b.Build()})
+	s := summary.New([]uint32{0, 0, 1, 1, 2}, [][]uint32{{1}, {2}, {2}}, [][]float64{{1}, {2.5}, {0.25}})
+	enc, err := EncodeBytes(Artifact{Summary: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +351,82 @@ func TestDecodeHugeCounts(t *testing.T) {
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, // huge varint |V|
 			0, 0, 0, 0, 0, 0} // filler + CRC space
 		mustCorrupt(t, fixCRC(data), fmt.Sprintf("huge node count, kind %d", kind))
+	}
+}
+
+// summaryArtifact assembles a summary artifact from raw payload fields —
+// |V|, |S|, flags, member lists, upper-triangle superedge lists and weights
+// — under an intact header and checksum, so that only decodeSummary's shape
+// checks can reject it.
+func summaryArtifact(t *testing.T, n, ns, flags uint64, members, upper [][]uint32, weights []float64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(artifactMagic[:])
+	buf.WriteByte(codecVersion)
+	buf.WriteByte(kindSummary)
+	w := bitio.NewWriter(&buf)
+	w.PutUvarint(n)
+	w.PutUvarint(ns)
+	w.PutUvarint(flags)
+	for _, ms := range members {
+		w.PutDeltas(ms)
+	}
+	for _, bs := range upper {
+		w.PutDeltas(bs)
+	}
+	for _, x := range weights {
+		w.PutFloat64(x)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(make([]byte, trailerLen))
+	return fixCRC(buf.Bytes())
+}
+
+// TestDecodeSummaryShapeChecks pins each shape check of decodeSummary, which
+// summary.New relies on: one hand-made payload per check, each a minimal
+// edit of a valid one (5 nodes in {0,1}, {2,3}, {4}; superedges {0,1},
+// {1,2}, {2,2} weighted 1, 2.5 and 0.25), must fail with ErrCorrupt at that
+// check.
+func TestDecodeSummaryShapeChecks(t *testing.T) {
+	members := [][]uint32{{0, 1}, {2, 3}, {4}}
+	upper := [][]uint32{{1}, {2}, {2}}
+	weights := []float64{1, 2.5, 0.25}
+	if _, err := Decode(summaryArtifact(t, 5, 3, flagWeighted, members, upper, weights)); err != nil {
+		t.Fatalf("the unedited payload does not decode: %v", err)
+	}
+	for _, c := range []struct {
+		name           string
+		flags          uint64
+		members, upper [][]uint32
+		weights        []float64
+		want           string
+	}{
+		{"empty supernode", flagWeighted, [][]uint32{{0, 1}, {}, {2, 3, 4}}, upper, weights, "is empty"},
+		{"out of first-occurrence order", flagWeighted, [][]uint32{{2, 3}, {0, 1}, {4}}, upper, weights, "first-occurrence order"},
+		{"node out of range", flagWeighted, [][]uint32{{0, 1}, {2, 3}, {4, 5}}, upper, weights, "out of range"},
+		{"node in two supernodes", flagWeighted, [][]uint32{{0, 1}, {1, 2, 3}, {4}}, upper, weights, "in two supernodes"},
+		{"node in no supernode", flagWeighted, [][]uint32{{0, 1}, {2}, {4}}, upper, weights, "in no supernode"},
+		{"superedge below the diagonal", flagWeighted, members, [][]uint32{{1}, {0}, {2}}, weights, "upper triangle"},
+		{"superedge beyond |S|", flagWeighted, members, [][]uint32{{1}, {3}, {2}}, weights, "upper triangle"},
+		{"zero weight", flagWeighted, members, upper, []float64{1, 0, 0.25}, "non-positive weight"},
+		{"negative weight", flagWeighted, members, upper, []float64{1, -2.5, 0.25}, "non-positive weight"},
+		{"NaN weight", flagWeighted, members, upper, []float64{1, math.NaN(), 0.25}, "non-positive weight"},
+		{"weighted flag over all-1 weights", flagWeighted, members, upper, []float64{1, 1, 1}, "every weight is 1"},
+		{"unknown flag bits", flagWeighted | 2, members, upper, weights, "unknown flag bits"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Decode(summaryArtifact(t, 5, 3, c.flags, c.members, c.upper, c.weights))
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want one wrapping ErrCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want the %q check", err, c.want)
+			}
+		})
 	}
 }

@@ -22,11 +22,7 @@ func testStore(t *testing.T) *Store {
 
 func testSummary(t testing.TB) *summary.Summary {
 	t.Helper()
-	superOf := []uint32{0, 0, 1, 2, 2, 2}
-	b := summary.NewBuilder(superOf)
-	b.AddSuperedge(0, 1, 1)
-	b.AddSuperedge(1, 2, 3.5)
-	return b.Build()
+	return summary.New([]uint32{0, 0, 1, 2, 2, 2}, [][]uint32{{1}, {2}, nil}, [][]float64{{1}, {3.5}, nil})
 }
 
 const keyA = "aaaa1111bbbb2222cccc3333dddd4444aaaa1111bbbb2222cccc3333dddd4444"

@@ -150,13 +150,9 @@ func TestDijkstraUnweightedMatchesBFS(t *testing.T) {
 func TestDijkstraWeightsLowerCost(t *testing.T) {
 	// Two parallel 2-hop routes 0-1-3 (heavy, w=4 each) vs 0-2-3 (light,
 	// w=0.5): cost via weights 1/w makes the heavy route cheaper.
-	superOf := []uint32{0, 1, 2, 3}
-	sb := summary.NewBuilder(superOf)
-	sb.AddSuperedge(0, 1, 4)
-	sb.AddSuperedge(1, 3, 4)
-	sb.AddSuperedge(0, 2, 0.5)
-	sb.AddSuperedge(2, 3, 0.5)
-	s := sb.Build()
+	s := summary.New([]uint32{0, 1, 2, 3},
+		[][]uint32{{1, 2}, {3}, {3}, nil},
+		[][]float64{{4, 0.5}, {4}, {0.5}, nil})
 	d, err := Dijkstra(SummaryOracle{s}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -150,10 +150,7 @@ func TestSummaryHOPMatchesNaive(t *testing.T) {
 
 func TestSummaryHOPSelfLoopSemantics(t *testing.T) {
 	// Supernode {0,1} with self-loop, {2} attached to it: dist(0->1) = 1.
-	sb := summary.NewBuilder([]uint32{0, 0, 1})
-	sb.AddSuperedge(0, 0, 1)
-	sb.AddSuperedge(0, 1, 1)
-	s := sb.Build()
+	s := summary.New([]uint32{0, 0, 1}, [][]uint32{{0, 1}, nil}, nil)
 	d, err := SummaryHOP(s, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +159,7 @@ func TestSummaryHOPSelfLoopSemantics(t *testing.T) {
 		t.Fatalf("distances = %v, want [0 1 1]", d)
 	}
 	// Without the self-loop, the only path 0->1 goes through node 2.
-	sb2 := summary.NewBuilder([]uint32{0, 0, 1})
-	sb2.AddSuperedge(0, 1, 1)
-	s2 := sb2.Build()
+	s2 := summary.New([]uint32{0, 0, 1}, [][]uint32{{1}, nil}, nil)
 	d2, err := SummaryHOP(s2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -255,20 +250,27 @@ func TestSummaryPHPOnIdentityIsExact(t *testing.T) {
 func TestWeightedSummaryQueries(t *testing.T) {
 	// A weighted summary: verify fast implementations agree with naive under
 	// non-unit weights.
+	// Nodes 0..7 open supernodes 0..7, so the IDs follow first occurrence;
+	// the rest join one at random.
 	rng := rand.New(rand.NewSource(9))
 	superOf := make([]uint32, 30)
 	for i := range superOf {
-		superOf[i] = uint32(rng.Intn(8))
+		superOf[i] = uint32(i)
+		if i >= 8 {
+			superOf[i] = uint32(rng.Intn(8))
+		}
 	}
-	sb := summary.NewBuilder(superOf)
+	upper := make([][]uint32, 8)
+	weights := make([][]float64, 8)
 	for a := 0; a < 8; a++ {
 		for b := a; b < 8; b++ {
 			if rng.Float64() < 0.4 {
-				sb.AddSuperedge(uint32(a), uint32(b), 0.25+rng.Float64())
+				upper[a] = append(upper[a], uint32(b))
+				weights[a] = append(weights[a], 0.25+rng.Float64())
 			}
 		}
 	}
-	s := sb.Build()
+	s := summary.New(superOf, upper, weights)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}

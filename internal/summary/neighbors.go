@@ -1,6 +1,10 @@
 package summary
 
-import "pegasus/internal/graph"
+import (
+	"slices"
+
+	"pegasus/internal/graph"
+)
 
 // Neighbors implements Alg. 4 (getNeighbors): the approximate neighborhood
 // N̂_q of q in the reconstructed graph Ĝ, retrieved directly from the summary
@@ -17,9 +21,8 @@ func (s *Summary) Neighbors(q graph.NodeID) []graph.NodeID {
 			}
 		}
 	})
-	// Members are iterated per sorted supernode block; a final merge keeps
-	// the overall order sorted (blocks may interleave).
-	insertionSortNodes(out)
+	// Each supernode's block of members is sorted, but blocks interleave.
+	slices.Sort(out)
 	return out
 }
 
@@ -82,8 +85,7 @@ func (s *Summary) WeightedReconstructedDegree(q graph.NodeID) float64 {
 func (s *Summary) Reconstruct() *graph.Graph {
 	b := graph.NewBuilder(s.NumNodes())
 	for a := range s.nbr {
-		for i, c := range s.nbr[a] {
-			_ = i
+		for _, c := range s.nbr[a] {
 			if c < uint32(a) {
 				continue // handle each superedge once
 			}
@@ -104,19 +106,4 @@ func (s *Summary) Reconstruct() *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-// insertionSortNodes sorts a small node slice in place. Neighbor lists are
-// concatenations of already-sorted blocks, for which insertion sort is
-// near-linear.
-func insertionSortNodes(xs []graph.NodeID) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }

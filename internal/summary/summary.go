@@ -17,7 +17,7 @@ package summary
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pegasus/internal/graph"
 )
@@ -34,122 +34,71 @@ type Summary struct {
 	weighted bool             // true when any weight differs from 1
 }
 
-// Builder assembles a Summary. Supernode labels passed to the builder may be
-// arbitrary uint32 values; they are remapped to dense IDs.
-type Builder struct {
-	n       int
-	superOf []uint32 // original labels
-	dense   map[uint32]uint32
-	edges   map[[2]uint32]float64
-}
-
-// NewBuilder starts a summary over len(superOf) nodes, where superOf[u] is
-// the (arbitrary) supernode label of node u.
-func NewBuilder(superOf []uint32) *Builder {
-	b := &Builder{
-		n:       len(superOf),
-		superOf: superOf,
-		dense:   make(map[uint32]uint32),
-		edges:   make(map[[2]uint32]float64),
-	}
-	for _, s := range superOf {
-		if _, ok := b.dense[s]; !ok {
-			b.dense[s] = uint32(len(b.dense))
-		}
-	}
-	return b
-}
-
-// DenseID returns the dense supernode ID for an original label. It panics on
-// an unknown label (one that no node maps to).
-func (b *Builder) DenseID(label uint32) uint32 {
-	id, ok := b.dense[label]
-	if !ok {
-		panic(fmt.Sprintf("summary: unknown supernode label %d", label))
-	}
-	return id
-}
-
-// AddSuperedge records a superedge between the supernodes labeled la and lb
-// (la may equal lb: a self-loop) with the given weight. Re-adding an edge
-// overwrites its weight. Weights must be positive.
-func (b *Builder) AddSuperedge(la, lb uint32, weight float64) {
-	if weight <= 0 {
-		panic(fmt.Sprintf("summary: non-positive superedge weight %v", weight))
-	}
-	a, c := b.DenseID(la), b.DenseID(lb)
-	if a > c {
-		a, c = c, a
-	}
-	b.edges[[2]uint32{a, c}] = weight
-}
-
-// Build finalizes the summary.
-func (b *Builder) Build() *Summary {
+// New builds a summary from its canonical form, the one the artifact codec
+// stores:
+//   - superOf[u] is node u's supernode, with supernode IDs numbered in order
+//     of first occurrence over the nodes;
+//   - upper[a] lists the superedge neighbours b ≥ a of supernode a (b = a is
+//     a self-loop), strictly ascending and within [a, len(upper));
+//   - weights runs parallel to upper and holds each superedge's positive
+//     weight, or is nil when every weight is 1.
+//
+// New checks nothing: every producer builds this form by construction, and
+// the artifact decoder validates outside bytes before it calls New. The
+// summary keeps superOf; upper and weights are only read. The cost is
+// O(|V| + |P|).
+func New(superOf []uint32, upper [][]uint32, weights [][]float64) *Summary {
+	ns := len(upper)
 	s := &Summary{
-		superOf: make([]uint32, b.n),
-		members: make([][]graph.NodeID, len(b.dense)),
-		nbr:     make([][]uint32, len(b.dense)),
-		wts:     make([][]float64, len(b.dense)),
-		numP:    len(b.edges),
-		maxW:    0,
+		superOf: superOf,
+		members: make([][]graph.NodeID, ns),
+		nbr:     make([][]uint32, ns),
+		wts:     make([][]float64, ns),
 	}
 	// Nodes are visited in ascending order, so every member list is sorted.
-	for u, label := range b.superOf {
-		d := b.dense[label]
-		s.superOf[u] = d
-		s.members[d] = append(s.members[d], graph.NodeID(u))
+	for u, a := range superOf {
+		s.members[a] = append(s.members[a], graph.NodeID(u))
 	}
-	for e, w := range b.edges {
-		a, c := e[0], e[1]
-		s.nbr[a] = append(s.nbr[a], c)
-		s.wts[a] = append(s.wts[a], w)
-		if a != c {
-			s.nbr[c] = append(s.nbr[c], a)
-			s.wts[c] = append(s.wts[c], w)
+	// An entry {a,b} with a < b reaches nbr[b] while a ascends, before b's
+	// own upper list does, so every neighbour list comes out sorted.
+	for a, bs := range upper {
+		for i, b := range bs {
+			w := 1.0
+			if weights != nil {
+				w = weights[a][i]
+			}
+			s.nbr[a] = append(s.nbr[a], b)
+			s.wts[a] = append(s.wts[a], w)
+			if b != uint32(a) {
+				s.nbr[b] = append(s.nbr[b], uint32(a))
+				s.wts[b] = append(s.wts[b], w)
+			}
+			if w > s.maxW {
+				s.maxW = w
+			}
+			if w != 1 {
+				s.weighted = true
+			}
 		}
-		if w > s.maxW {
-			s.maxW = w
-		}
-		if w != 1 {
-			s.weighted = true
-		}
-	}
-	for a := range s.nbr {
-		sortParallel(s.nbr[a], s.wts[a])
+		s.numP += len(bs)
 	}
 	return s
-}
-
-func sortParallel(nbr []uint32, wts []float64) {
-	idx := make([]int, len(nbr))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return nbr[idx[i]] < nbr[idx[j]] })
-	n2 := make([]uint32, len(nbr))
-	w2 := make([]float64, len(wts))
-	for i, j := range idx {
-		n2[i], w2[i] = nbr[j], wts[j]
-	}
-	copy(nbr, n2)
-	copy(wts, w2)
 }
 
 // Identity returns the summary where every node is its own supernode and
 // every edge its own superedge — the initialization of Alg. 1 (line 1).
 // Queries answered on it are exact.
 func Identity(g *graph.Graph) *Summary {
-	superOf := make([]uint32, g.NumNodes())
+	n := g.NumNodes()
+	superOf := make([]uint32, n)
+	upper := make([][]uint32, n)
 	for u := range superOf {
 		superOf[u] = uint32(u)
+		nbrs := g.Neighbors(graph.NodeID(u))
+		i, _ := slices.BinarySearch(nbrs, graph.NodeID(u))
+		upper[u] = nbrs[i:]
 	}
-	b := NewBuilder(superOf)
-	g.Edges(func(u, v graph.NodeID) bool {
-		b.AddSuperedge(uint32(u), uint32(v), 1)
-		return true
-	})
-	return b.Build()
+	return New(superOf, upper, nil)
 }
 
 // NumNodes returns |V| of the underlying graph.

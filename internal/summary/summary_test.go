@@ -1,10 +1,8 @@
 package summary
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -14,12 +12,75 @@ import (
 // fixture: 5 nodes in 3 supernodes A={0,1}, B={2,3}, C={4};
 // superedges {A,B}, {A,A} (self-loop), {B,C}.
 func fixture() *Summary {
-	superOf := []uint32{10, 10, 20, 20, 30} // arbitrary labels
-	b := NewBuilder(superOf)
-	b.AddSuperedge(10, 20, 1)
-	b.AddSuperedge(10, 10, 1)
-	b.AddSuperedge(20, 30, 1)
-	return b.Build()
+	return New([]uint32{0, 0, 1, 1, 2}, [][]uint32{{0, 1}, {2}, nil}, nil)
+}
+
+func TestNew(t *testing.T) {
+	// 7 nodes in 4 supernodes A={0,3}, B={1,2,5}, C={4}, D={6}; superedges
+	// {A,A} (self-loop), {A,B}, {A,C}, {B,C}, {C,C}; D has none.
+	superOf := []uint32{0, 1, 1, 0, 2, 1, 3}
+	upper := [][]uint32{{0, 1, 2}, {2}, {2}, nil}
+	t.Run("unweighted", func(t *testing.T) {
+		s := New(slices.Clone(superOf), upper, nil)
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if s.NumNodes() != 7 || s.NumSupernodes() != 4 || s.NumSuperedges() != 5 {
+			t.Fatalf("shape %v, want |V|=7 |S|=4 |P|=5 (self-loops once)", s)
+		}
+		wantMembers := [][]graph.NodeID{{0, 3}, {1, 2, 5}, {4}, {6}}
+		wantNbr := [][]uint32{{0, 1, 2}, {0, 2}, {0, 1, 2}, nil}
+		for a := range uint32(4) {
+			if got := s.Members(a); !slices.Equal(got, wantMembers[a]) {
+				t.Errorf("Members(%d) = %v, want %v", a, got, wantMembers[a])
+			}
+			nbr, wts := s.SuperNeighbors(a)
+			if !slices.Equal(nbr, wantNbr[a]) {
+				t.Errorf("SuperNeighbors(%d) = %v, want %v", a, nbr, wantNbr[a])
+			}
+			for _, w := range wts {
+				if w != 1 {
+					t.Errorf("SuperNeighbors(%d) weights = %v, want all 1", a, wts)
+				}
+			}
+		}
+		if s.Weighted() || s.MaxWeight() != 1 {
+			t.Errorf("Weighted=%v MaxWeight=%v, want false and 1", s.Weighted(), s.MaxWeight())
+		}
+	})
+	t.Run("all-1 weights", func(t *testing.T) {
+		s := New(slices.Clone(superOf), upper, [][]float64{{1, 1, 1}, {1}, {1}, nil})
+		if s.Weighted() || s.MaxWeight() != 1 {
+			t.Errorf("Weighted=%v MaxWeight=%v, want an unweighted summary", s.Weighted(), s.MaxWeight())
+		}
+	})
+	t.Run("weighted", func(t *testing.T) {
+		s := New(slices.Clone(superOf), upper, [][]float64{{0.5, 3, 1}, {0.25}, {2}, nil})
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Weighted() || s.MaxWeight() != 3 {
+			t.Fatalf("Weighted=%v MaxWeight=%v, want true and 3", s.Weighted(), s.MaxWeight())
+		}
+		// Each weight lands on both endpoints' lists, position for position.
+		for _, c := range []struct {
+			a    uint32
+			want []float64
+		}{{0, []float64{0.5, 3, 1}}, {1, []float64{3, 0.25}}, {2, []float64{1, 0.25, 2}}} {
+			if _, wts := s.SuperNeighbors(c.a); !slices.Equal(wts, c.want) {
+				t.Errorf("weights of %d = %v, want %v", c.a, wts, c.want)
+			}
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		s := New(nil, nil, nil)
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if s.NumNodes() != 0 || s.NumSupernodes() != 0 || s.NumSuperedges() != 0 || s.MaxWeight() != 0 {
+			t.Fatalf("empty summary %v, MaxWeight %v", s, s.MaxWeight())
+		}
+	})
 }
 
 func TestCounts(t *testing.T) {
@@ -55,14 +116,20 @@ func TestMembershipAndMembers(t *testing.T) {
 		t.Fatalf("Members(A) = %v, want [0 1]", ms)
 	}
 
-	// Labels shuffled across the nodes: each member list must still be
-	// ascending, and the lists must partition V.
+	// Labels shuffled across the nodes, renumbered by FromPartitionDensity:
+	// each member list must still be ascending, and the lists must
+	// partition V.
 	rng := rand.New(rand.NewSource(1))
 	superOf := make([]uint32, 60)
+	edges := make([]graph.Edge, len(superOf))
 	for u := range superOf {
 		superOf[u] = 1000*uint32(rng.Intn(7)) + 3
+		edges[u] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID((u + 1) % len(superOf))}
 	}
-	s = NewBuilder(superOf).Build()
+	s = FromPartitionDensity(graph.FromEdges(len(superOf), edges), superOf)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	seen := 0
 	for a := range uint32(s.NumSupernodes()) {
 		ms := s.Members(a)
@@ -123,14 +190,24 @@ func TestNeighborsAlg4(t *testing.T) {
 	if d := s.ReconstructedDegree(4); d != 2 {
 		t.Fatalf("ReconstructedDegree(4) = %d, want 2", d)
 	}
+	// Even nodes E and odd nodes O, superedges {E,E} and {E,O}: the member
+	// blocks of N̂(0) interleave, and the result must still be ascending.
+	superOf := make([]uint32, 40)
+	want = nil
+	for u := range superOf {
+		superOf[u] = uint32(u % 2)
+		if u > 0 {
+			want = append(want, graph.NodeID(u))
+		}
+	}
+	s = New(superOf, [][]uint32{{0, 1}, nil}, nil)
+	if got := s.Neighbors(0); !slices.Equal(got, want) {
+		t.Fatalf("interleaved Neighbors(0) = %v, want %v", got, want)
+	}
 }
 
 func TestWeightedNeighbors(t *testing.T) {
-	superOf := []uint32{0, 0, 1, 1}
-	b := NewBuilder(superOf)
-	b.AddSuperedge(0, 1, 0.5)
-	b.AddSuperedge(0, 0, 2)
-	s := b.Build()
+	s := New([]uint32{0, 0, 1, 1}, [][]uint32{{0, 1}, nil}, [][]float64{{2, 0.5}, nil})
 	if !s.Weighted() {
 		t.Fatal("summary should be weighted")
 	}
@@ -230,10 +307,7 @@ func TestSizeBits(t *testing.T) {
 }
 
 func TestWeightedSizeBits(t *testing.T) {
-	superOf := []uint32{0, 0, 1, 1}
-	b := NewBuilder(superOf)
-	b.AddSuperedge(0, 1, 4)
-	s := b.Build()
+	s := New([]uint32{0, 0, 1, 1}, [][]uint32{{1}, nil}, [][]float64{{4}, nil})
 	// |P|(2log2|S| + log2 4) + |V| log2|S| = 1*(2*1+2) + 4*1 = 8.
 	if got := s.WeightedSizeBits(); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("WeightedSizeBits = %v, want 8", got)
@@ -254,75 +328,4 @@ func TestCompressionRatio(t *testing.T) {
 	if r <= 0 {
 		t.Fatalf("ratio = %v, want > 0", r)
 	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	s := fixture()
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	s2, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if err := s2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if s2.NumNodes() != s.NumNodes() || s2.NumSupernodes() != s.NumSupernodes() || s2.NumSuperedges() != s.NumSuperedges() {
-		t.Fatal("round trip changed summary shape")
-	}
-	// Behavior-level equality: same approximate neighborhoods.
-	for u := 0; u < s.NumNodes(); u++ {
-		a, b := s.Neighbors(graph.NodeID(u)), s2.Neighbors(graph.NodeID(u))
-		if len(a) != len(b) {
-			t.Fatalf("node %d neighborhood changed", u)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("node %d neighborhood changed", u)
-			}
-		}
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	s := fixture()
-	path := filepath.Join(t.TempDir(), "s.bin")
-	if err := s.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	s2, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if s2.NumSuperedges() != s.NumSuperedges() {
-		t.Fatal("file round trip changed summary")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("XXXX0123456789"))); err == nil {
-		t.Error("want error for bad magic")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("want error for empty input")
-	}
-}
-
-func TestBuilderPanics(t *testing.T) {
-	b := NewBuilder([]uint32{0, 1})
-	assertPanics(t, func() { b.AddSuperedge(0, 1, 0) })  // zero weight
-	assertPanics(t, func() { b.AddSuperedge(0, 99, 1) }) // unknown label
-	assertPanics(t, func() { b.DenseID(77) })            // unknown label
-}
-
-func assertPanics(t *testing.T, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	fn()
 }

@@ -2,12 +2,15 @@ package pegasus
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"os"
 
 	"pegasus/internal/core"
 	"pegasus/internal/gen"
 	"pegasus/internal/graph"
 	"pegasus/internal/metrics"
+	"pegasus/internal/persist"
 	"pegasus/internal/queries"
 	"pegasus/internal/ssumm"
 	"pegasus/internal/summary"
@@ -100,8 +103,25 @@ func SummarizeSSumMCtx(ctx context.Context, g *Graph, cfg SSumMConfig) (*Result,
 	return ssumm.SummarizeCtx(ctx, g, cfg)
 }
 
-// LoadSummary reads a summary graph written by Summary.SaveFile.
-func LoadSummary(path string) (*Summary, error) { return summary.LoadFile(path) }
+// LoadSummary reads a summary graph from a file in the artifact format of
+// EncodeArtifact, the format pegasus -out writes. A damaged file, or one in
+// the earlier "PGSS" summary format, yields an error wrapping
+// ErrArtifactCorrupt (regenerate it with pegasus -out); a file from a newer
+// codec one wrapping ErrArtifactVersion. A subgraph artifact is an error too.
+func LoadSummary(path string) (*Summary, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	a, err := persist.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if a.Summary == nil {
+		return nil, fmt.Errorf("%s: a subgraph artifact, not a summary", path)
+	}
+	return a.Summary, nil
+}
 
 // IdentitySummary returns the exact summary where every node is its own
 // supernode (queries on it reproduce the input graph exactly).
