@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -23,7 +24,7 @@ func main() {
 		sumPath = flag.String("summary", "", "summary file written by the pegasus tool (required)")
 		gPath   = flag.String("graph", "", "original edge list; enables accuracy comparison")
 		qtype   = flag.String("type", "rwr", "query type: rwr | hop | php | neighbors")
-		node    = flag.Uint("node", 0, "query node")
+		node    = flag.Uint64("node", 0, "query node")
 		top     = flag.Int("top", 10, "print the top-k results")
 	)
 	flag.Parse()
@@ -35,14 +36,56 @@ func main() {
 	if err != nil {
 		fatal("load summary: %v", err)
 	}
-	q := pegasus.NodeID(*node)
+	approx, err := answer(os.Stdout, s, *qtype, *node, *top)
+	if err != nil {
+		fatal("query: %v", err)
+	}
+	if approx == nil || *gPath == "" {
+		return
+	}
 
-	var approx []float64
+	g, err := pegasus.LoadGraph(*gPath)
+	if err != nil {
+		fatal("load graph: %v", err)
+	}
+	q := pegasus.NodeID(*node)
+	var exact []float64
 	switch *qtype {
+	case "rwr":
+		exact, err = pegasus.GraphRWR(g, q, pegasus.RWRConfig{})
+	case "hop":
+		var d []int32
+		d, err = pegasus.GraphHOP(g, q)
+		if err == nil {
+			exact = toFloats(pegasus.FillUnreached(d, int32(g.NumNodes())))
+		}
+	case "php":
+		exact, err = pegasus.GraphPHP(g, q, pegasus.PHPConfig{})
+	}
+	if err != nil {
+		fatal("exact query: %v", err)
+	}
+	sm, _ := pegasus.SMAPE(exact, approx)
+	sc, _ := pegasus.Spearman(exact, approx)
+	fmt.Printf("accuracy vs exact: SMAPE=%.4f Spearman=%.4f\n", sm, sc)
+}
+
+// answer runs one query of type qtype for node on s and writes the
+// approximate answer to w: the neighbour list, or the top scores. It
+// returns the score vector, or nil for a neighbors query. A node outside
+// the summary is an error for every type.
+func answer(w io.Writer, s *pegasus.Summary, qtype string, node uint64, top int) ([]float64, error) {
+	if node >= uint64(s.NumNodes()) {
+		return nil, fmt.Errorf("query node %d out of range (|V|=%d)", node, s.NumNodes())
+	}
+	q := pegasus.NodeID(node)
+	var approx []float64
+	var err error
+	switch qtype {
 	case "neighbors":
 		ns := s.Neighbors(q)
-		fmt.Printf("approximate neighbors of %d (%d): %v\n", q, len(ns), clip(ns, *top))
-		return
+		fmt.Fprintf(w, "approximate neighbors of %d (%d): %v\n", q, len(ns), clip(ns, top))
+		return nil, nil
 	case "rwr":
 		approx, err = pegasus.SummaryRWR(s, q, pegasus.RWRConfig{})
 	case "hop":
@@ -54,41 +97,16 @@ func main() {
 	case "php":
 		approx, err = pegasus.SummaryPHP(s, q, pegasus.PHPConfig{})
 	default:
-		fatal("unknown query type %q", *qtype)
+		return nil, fmt.Errorf("unknown query type %q", qtype)
 	}
 	if err != nil {
-		fatal("query: %v", err)
+		return nil, err
 	}
-	printTop(*qtype+" (approximate)", approx, *top)
-
-	if *gPath != "" {
-		g, err := pegasus.LoadGraph(*gPath)
-		if err != nil {
-			fatal("load graph: %v", err)
-		}
-		var exact []float64
-		switch *qtype {
-		case "rwr":
-			exact, err = pegasus.GraphRWR(g, q, pegasus.RWRConfig{})
-		case "hop":
-			var d []int32
-			d, err = pegasus.GraphHOP(g, q)
-			if err == nil {
-				exact = toFloats(pegasus.FillUnreached(d, int32(g.NumNodes())))
-			}
-		case "php":
-			exact, err = pegasus.GraphPHP(g, q, pegasus.PHPConfig{})
-		}
-		if err != nil {
-			fatal("exact query: %v", err)
-		}
-		sm, _ := pegasus.SMAPE(exact, approx)
-		sc, _ := pegasus.Spearman(exact, approx)
-		fmt.Printf("accuracy vs exact: SMAPE=%.4f Spearman=%.4f\n", sm, sc)
-	}
+	printTop(w, qtype+" (approximate)", approx, top)
+	return approx, nil
 }
 
-func printTop(label string, scores []float64, k int) {
+func printTop(w io.Writer, label string, scores []float64, k int) {
 	type nv struct {
 		n pegasus.NodeID
 		v float64
@@ -101,9 +119,9 @@ func printTop(label string, scores []float64, k int) {
 	if k > len(all) {
 		k = len(all)
 	}
-	fmt.Printf("%s top-%d:\n", label, k)
+	fmt.Fprintf(w, "%s top-%d:\n", label, k)
 	for i := 0; i < k; i++ {
-		fmt.Printf("  node %-8d %.6g\n", all[i].n, all[i].v)
+		fmt.Fprintf(w, "  node %-8d %.6g\n", all[i].n, all[i].v)
 	}
 }
 

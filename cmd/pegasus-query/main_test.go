@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	"pegasus"
@@ -20,5 +24,28 @@ func TestClip(t *testing.T) {
 	}
 	if got := clip(ns, 10); len(got) != 4 {
 		t.Fatalf("clip oversized = %v", got)
+	}
+}
+
+// TestAnswerNodeOutOfRange: every query type, neighbors included, answers
+// a node outside the summary with the range error instead of a panic, and
+// a node past 2^32 is not truncated into range.
+func TestAnswerNodeOutOfRange(t *testing.T) {
+	s := pegasus.IdentitySummary(pegasus.GenerateBA(50, 2, 1))
+	for _, qtype := range []string{"neighbors", "rwr", "hop", "php"} {
+		for _, node := range []uint64{50, 100000, 1<<32 + 3} {
+			_, err := answer(io.Discard, s, qtype, node, 10)
+			want := fmt.Sprintf("query node %d out of range (|V|=50)", node)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s node %d: err = %v, want %q", qtype, node, err, want)
+			}
+		}
+	}
+	var out bytes.Buffer
+	if _, err := answer(&out, s, "neighbors", 49, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "approximate neighbors of 49 (") {
+		t.Fatalf("neighbors output = %q", out.String())
 	}
 }

@@ -14,6 +14,7 @@ package kgrass
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pegasus/internal/graph"
 	"pegasus/internal/summary"
@@ -77,28 +78,32 @@ func Summarize(g *graph.Graph, cfg Config) (*summary.Summary, error) {
 		return size[a] * size[b]
 	}
 
-	// deltaErr evaluates the error increase of merging a and b.
+	// deltaErr evaluates the error increase of merging a and b. It sums the
+	// blocks to their neighbours in ascending supernode order, so the sums,
+	// and with them the merges picked, do not depend on map order; keys is
+	// its scratch.
+	var keys []uint32
 	deltaErr := func(a, b uint32) float64 {
+		keys = keys[:0]
+		for x := range cnt[a] { //lint:ordered keys are sorted immediately below
+			keys = append(keys, x)
+		}
+		for x := range cnt[b] { //lint:ordered keys are sorted immediately below
+			keys = append(keys, x)
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
 		before := 0.0
 		after := 0.0
 		sizeC := size[a] + size[b]
-		// Blocks to common/cross neighbors.
-		seen := make(map[uint32]bool, len(cnt[a])+len(cnt[b]))
-		for x, ea := range cnt[a] {
+		// Blocks to common/cross neighbors; a block with no edges adds +0.
+		for _, x := range keys {
 			if x == a || x == b {
 				continue
 			}
-			seen[x] = true
-			eb := cnt[b][x]
+			ea, eb := cnt[a][x], cnt[b][x]
 			before += blockErr(ea, pairs(a, x)) + blockErr(eb, pairs(b, x))
 			after += blockErr(ea+eb, sizeC*size[x])
-		}
-		for x, eb := range cnt[b] {
-			if x == a || x == b || seen[x] {
-				continue
-			}
-			before += blockErr(eb, pairs(b, x))
-			after += blockErr(eb, sizeC*size[x])
 		}
 		// Intra block of the merged supernode: intra(a) + intra(b) + cross.
 		eIntra := cnt[a][a] + cnt[b][b] + cnt[a][b]
@@ -114,6 +119,7 @@ func Summarize(g *graph.Graph, cfg Config) (*summary.Summary, error) {
 		eIntra := cnt[a][a] + cnt[b][b] + cnt[a][b]
 		delete(cnt[a], b)
 		delete(cnt[b], a)
+		//lint:ordered each key x ∉ {a,b} updates only cnt[a][x] and cnt[x]
 		for x, eb := range cnt[b] {
 			if x == b {
 				continue

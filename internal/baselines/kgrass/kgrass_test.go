@@ -1,11 +1,13 @@
 package kgrass
 
 import (
+	"bytes"
 	"testing"
 
 	"pegasus/internal/gen"
 	"pegasus/internal/graph"
 	"pegasus/internal/metrics"
+	"pegasus/internal/persist"
 )
 
 func TestSummarizeReachesTarget(t *testing.T) {
@@ -90,5 +92,30 @@ func TestBlockErr(t *testing.T) {
 	}
 	if blockErr(3, 0) != 0 {
 		t.Error("degenerate block should have zero error")
+	}
+}
+
+// TestSummarizeDeterministic: a k-GraSS summary is a function of the graph
+// and the config alone, so three runs encode to the same artifact bytes.
+// On this config, merge choices that followed Go's map iteration order
+// gave different summaries within three runs.
+func TestSummarizeDeterministic(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, 3)
+	var first []byte
+	for run := 0; run < 3; run++ {
+		s, err := Summarize(g, Config{TargetSupernodes: 600, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := persist.EncodeBytes(persist.Artifact{Summary: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Fatalf("run %d encodes to %d bytes that differ from run 0's %d (|P| = %d)",
+				run, len(raw), len(first), s.NumSuperedges())
+		}
 	}
 }

@@ -96,6 +96,7 @@ func Summarize(g *graph.Graph, cfg Config) (*summary.Summary, error) {
 		}
 		for c := 0; c < cfg.K; c++ {
 			nc := make(map[graph.NodeID]float64)
+			//lint:ordered builds a set: each key is kept on its own count
 			for v, cnt := range counts[c] {
 				if 2*cnt > sizes[c] {
 					nc[v] = 1

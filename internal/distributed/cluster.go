@@ -55,9 +55,9 @@ func (m *Machine) Oracle() queries.Oracle {
 // NewSession returns a query session over the machine's artifact — the
 // one place a machine picks between the summary and the subgraph
 // evaluators for RWR and PHP. The session computes the artifact's query
-// precompute (weighted degrees, self-loop weights) once and is safe for
-// concurrent use, so a server keeps one per machine for the artifact's
-// lifetime.
+// precompute (weighted degrees, self-loop weights, the superedge lane
+// layout) once and is safe for concurrent use, so a server keeps one per
+// machine for the artifact's lifetime.
 func (m *Machine) NewSession() queries.Session {
 	if m.Summary != nil {
 		return queries.NewSummarySession(m.Summary)

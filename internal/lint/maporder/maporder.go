@@ -24,6 +24,7 @@ import (
 // covers its subpackages). A map range outside these packages is not
 // flagged. Tests may append fixture paths.
 var Critical = []string{
+	"pegasus/internal/baselines",
 	"pegasus/internal/core",
 	"pegasus/internal/distributed",
 	"pegasus/internal/persist",

@@ -13,6 +13,7 @@ import (
 	"pegasus/internal/obs"
 	"pegasus/internal/partition"
 	"pegasus/internal/queries"
+	"pegasus/internal/summary"
 )
 
 // BenchmarkSummarySession times one query of the summary session's RWR and
@@ -23,7 +24,10 @@ import (
 // owning shard's session, the path a cold server request takes. iters/query
 // is the mean power-iteration count over the set, read from the sessions'
 // spans in one untimed pass: it is exact, so two builds of the kernels
-// compare on the same work.
+// compare on the same work. WeightedRWR and WeightedPHP run the same queries
+// on the density-weighted summaries of the shards' partitions (the output
+// form of the k-GraSS, S2L and SAAGs baselines), which take the kernels'
+// weighted path.
 //
 //	go test -run '^$' -bench BenchmarkSummarySession -benchmem ./internal/queries
 func BenchmarkSummarySession(b *testing.B) {
@@ -40,11 +44,13 @@ func BenchmarkSummarySession(b *testing.B) {
 		b.Fatal(err)
 	}
 	shardSess := make([]queries.Session, len(c.Machines))
+	weightedSess := make([]queries.Session, len(c.Machines))
 	for i, m := range c.Machines {
 		shardSess[i] = m.NewSession()
+		weightedSess[i] = queries.NewSummarySession(summary.FromPartitionDensity(g, m.Summary.SupernodeOf()))
 	}
 	var qs []graph.NodeID
-	var sess []queries.Session // sess[i] is the session of qs[i]'s shard
+	var sess, weighted []queries.Session // sess[i] and weighted[i] answer qs[i]
 	for q := 0; q < n; q += n / 40 {
 		i, err := c.Route(graph.NodeID(q))
 		if err != nil {
@@ -52,39 +58,45 @@ func BenchmarkSummarySession(b *testing.B) {
 		}
 		qs = append(qs, graph.NodeID(q))
 		sess = append(sess, shardSess[i])
+		weighted = append(weighted, weightedSess[i])
 	}
 
-	for _, k := range []struct {
-		name   string
-		answer func(ctx context.Context, s queries.Session, q graph.NodeID) error
-	}{
-		{"RWR", func(ctx context.Context, s queries.Session, q graph.NodeID) error {
-			_, err := s.RWR(q, queries.RWRConfig{Ctx: ctx})
-			return err
-		}},
-		{"PHP", func(ctx context.Context, s queries.Session, q graph.NodeID) error {
-			_, err := s.PHP(q, queries.PHPConfig{Ctx: ctx})
-			return err
-		}},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			iters := 0
-			for i, q := range qs {
-				tr := obs.NewTrace()
-				if err := k.answer(obs.WithTrace(context.Background(), tr), sess[i], q); err != nil {
-					b.Fatal(err)
+	for _, form := range []struct {
+		name string
+		sess []queries.Session
+	}{{"", sess}, {"Weighted", weighted}} {
+		for _, k := range []struct {
+			name   string
+			answer func(ctx context.Context, s queries.Session, q graph.NodeID) error
+		}{
+			{"RWR", func(ctx context.Context, s queries.Session, q graph.NodeID) error {
+				_, err := s.RWR(q, queries.RWRConfig{Ctx: ctx})
+				return err
+			}},
+			{"PHP", func(ctx context.Context, s queries.Session, q graph.NodeID) error {
+				_, err := s.PHP(q, queries.PHPConfig{Ctx: ctx})
+				return err
+			}},
+		} {
+			b.Run(form.name+k.name, func(b *testing.B) {
+				iters := 0
+				for i, q := range qs {
+					tr := obs.NewTrace()
+					if err := k.answer(obs.WithTrace(context.Background(), tr), form.sess[i], q); err != nil {
+						b.Fatal(err)
+					}
+					iters += spanIterations(b, tr)
 				}
-				iters += spanIterations(b, tr)
-			}
-			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
-				j := i % len(qs)
-				if err := k.answer(nil, sess[j], qs[j]); err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				for i := 0; b.Loop(); i++ {
+					j := i % len(qs)
+					if err := k.answer(nil, form.sess[j], qs[j]); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(iters)/float64(len(qs)), "iters/query")
-		})
+				b.ReportMetric(float64(iters)/float64(len(qs)), "iters/query")
+			})
+		}
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 type backend struct {
 	c *distributed.Cluster
 	// sessions[i] answers RWR and PHP on machine i. It holds the
-	// artifact's query precompute (weighted degrees, self-loop weights),
-	// paid once here instead of once per request, and is safe for
-	// concurrent use.
+	// artifact's query precompute (weighted degrees, self-loop weights,
+	// the superedge lane layout), paid once here instead of once per
+	// request, and is safe for concurrent use.
 	sessions []queries.Session
 }
 

@@ -10,7 +10,8 @@ import (
 // N̂_q of q in the reconstructed graph Ĝ, retrieved directly from the summary
 // without restoring Ĝ. The result is the union of members of supernodes
 // adjacent to S_q (including S_q itself when it carries a self-loop), minus
-// q itself. The result is sorted.
+// q itself. The result is sorted. q must be below NumNodes(); Neighbors
+// panics otherwise.
 func (s *Summary) Neighbors(q graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	sq := s.superOf[q]
