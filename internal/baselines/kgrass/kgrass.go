@@ -12,7 +12,9 @@
 package kgrass
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 
@@ -40,6 +42,63 @@ func blockErr(e, n float64) float64 {
 	return 2 * e * (n - e) / n
 }
 
+// count is one entry of a supernode's neighbour list: e edges to supernode
+// x (to itself when x is the list's own supernode: its intra edges, each
+// counted once).
+type count struct {
+	x uint32
+	e float64
+}
+
+// pair is a supernode's count on each of two lists (0 where absent).
+type pair struct{ a, b float64 }
+
+// union yields every supernode x on the sorted neighbour list la or lb with
+// its count on each, in ascending order of x: one merged pass.
+func union(la, lb []count) iter.Seq2[uint32, pair] {
+	return func(yield func(uint32, pair) bool) {
+		i, j := 0, 0
+		for i < len(la) || j < len(lb) {
+			var x uint32
+			var e pair
+			switch {
+			case j == len(lb) || (i < len(la) && la[i].x < lb[j].x):
+				x, e.a = la[i].x, la[i].e
+				i++
+			case i == len(la) || lb[j].x < la[i].x:
+				x, e.b = lb[j].x, lb[j].e
+				j++
+			default:
+				x, e = la[i].x, pair{la[i].e, lb[j].e}
+				i++
+				j++
+			}
+			if !yield(x, e) {
+				return
+			}
+		}
+	}
+}
+
+// set gives supernode x the count e on list l, keeping l sorted.
+func set(l []count, x uint32, e float64) []count {
+	i, ok := slices.BinarySearchFunc(l, x, func(c count, x uint32) int { return cmp.Compare(c.x, x) })
+	if ok {
+		l[i].e = e
+		return l
+	}
+	return slices.Insert(l, i, count{x, e})
+}
+
+// drop removes supernode x from list l, if present.
+func drop(l []count, x uint32) []count {
+	i, ok := slices.BinarySearchFunc(l, x, func(c count, x uint32) int { return cmp.Compare(c.x, x) })
+	if !ok {
+		return l
+	}
+	return slices.Delete(l, i, i+1)
+}
+
 // Summarize runs k-GraSS on g.
 func Summarize(g *graph.Graph, cfg Config) (*summary.Summary, error) {
 	n := g.NumNodes()
@@ -54,17 +113,21 @@ func Summarize(g *graph.Graph, cfg Config) (*summary.Summary, error) {
 	superOf := make([]uint32, n)
 	size := make([]float64, n) // supernode sizes
 	members := make([][]graph.NodeID, n)
-	// edge counts between supernodes: per-slot adjacency count map. For the
-	// intra count, key == slot (each intra edge counted once).
-	cnt := make([]map[uint32]float64, n)
+	// Edge counts between supernodes: per slot, a list sorted by neighbour
+	// with positive counts only. The lists start as the graph's sorted
+	// adjacency lists, cut from one backing array with their capacity
+	// capped so growing one list never overwrites the next.
+	adj := make([][]count, n)
+	backing := make([]count, 0, 2*g.NumEdges())
 	for u := 0; u < n; u++ {
 		superOf[u] = uint32(u)
 		size[u] = 1
 		members[u] = []graph.NodeID{graph.NodeID(u)}
-		cnt[u] = make(map[uint32]float64, g.Degree(graph.NodeID(u)))
+		off := len(backing)
 		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			cnt[u][uint32(v)] = 1
+			backing = append(backing, count{uint32(v), 1})
 		}
+		adj[u] = backing[off:len(backing):len(backing)]
 	}
 	alive := make([]uint32, n)
 	for i := range alive {
@@ -80,62 +143,56 @@ func Summarize(g *graph.Graph, cfg Config) (*summary.Summary, error) {
 
 	// deltaErr evaluates the error increase of merging a and b. It sums the
 	// blocks to their neighbours in ascending supernode order, so the sums,
-	// and with them the merges picked, do not depend on map order; keys is
-	// its scratch.
-	var keys []uint32
+	// and with them the merges picked, are a function of the input alone.
 	deltaErr := func(a, b uint32) float64 {
-		keys = keys[:0]
-		for x := range cnt[a] { //lint:ordered keys are sorted immediately below
-			keys = append(keys, x)
-		}
-		for x := range cnt[b] { //lint:ordered keys are sorted immediately below
-			keys = append(keys, x)
-		}
-		slices.Sort(keys)
-		keys = slices.Compact(keys)
-		before := 0.0
-		after := 0.0
+		var before, after, aa, bb, ab float64
 		sizeC := size[a] + size[b]
-		// Blocks to common/cross neighbors; a block with no edges adds +0.
-		for _, x := range keys {
-			if x == a || x == b {
-				continue
+		for x, e := range union(adj[a], adj[b]) {
+			switch x {
+			case a:
+				aa = e.a
+			case b:
+				ab, bb = e.a, e.b
+			default:
+				// A block to a neighbour of only one side adds +0 for the other.
+				before += blockErr(e.a, pairs(a, x)) + blockErr(e.b, pairs(b, x))
+				after += blockErr(e.a+e.b, sizeC*size[x])
 			}
-			ea, eb := cnt[a][x], cnt[b][x]
-			before += blockErr(ea, pairs(a, x)) + blockErr(eb, pairs(b, x))
-			after += blockErr(ea+eb, sizeC*size[x])
 		}
 		// Intra block of the merged supernode: intra(a) + intra(b) + cross.
-		eIntra := cnt[a][a] + cnt[b][b] + cnt[a][b]
-		before += blockErr(cnt[a][a], pairs(a, a)) +
-			blockErr(cnt[b][b], pairs(b, b)) +
-			blockErr(cnt[a][b], pairs(a, b))
+		eIntra := aa + bb + ab
+		before += blockErr(aa, pairs(a, a)) +
+			blockErr(bb, pairs(b, b)) +
+			blockErr(ab, pairs(a, b))
 		after += blockErr(eIntra, sizeC*(sizeC-1)/2)
 		return after - before
 	}
 
+	// merge folds b's counts into a: a's list becomes the sum of both lists
+	// without a and b, plus the merged intra count, and every neighbour of
+	// b relabels its entry for b as a. merged is its scratch.
+	var merged []count
 	merge := func(a, b uint32) {
-		// Fold b's counts into a.
-		eIntra := cnt[a][a] + cnt[b][b] + cnt[a][b]
-		delete(cnt[a], b)
-		delete(cnt[b], a)
-		//lint:ordered each key x ∉ {a,b} updates only cnt[a][x] and cnt[x]
-		for x, eb := range cnt[b] {
-			if x == b {
-				continue
-			}
-			cnt[a][x] += eb
-			delete(cnt[x], b)
-			if x != a {
-				cnt[x][a] = cnt[a][x]
+		var aa, bb, ab float64
+		merged = merged[:0]
+		for x, e := range union(adj[a], adj[b]) {
+			switch {
+			case x == a:
+				aa = e.a
+			case x == b:
+				ab, bb = e.a, e.b
+			case e.b == 0:
+				merged = append(merged, count{x, e.a})
+			default:
+				merged = append(merged, count{x, e.a + e.b})
+				adj[x] = set(drop(adj[x], b), a, e.a+e.b)
 			}
 		}
-		if eIntra > 0 {
-			cnt[a][a] = eIntra
-		} else {
-			delete(cnt[a], a)
+		if eIntra := aa + bb + ab; eIntra > 0 {
+			merged = set(merged, a, eIntra)
 		}
-		cnt[b] = nil
+		adj[a] = append(adj[a][:0], merged...)
+		adj[b] = nil
 		for _, u := range members[b] {
 			superOf[u] = a
 		}

@@ -5,6 +5,7 @@ import (
 	"pegasus/internal/datasets"
 	"pegasus/internal/graph"
 	"pegasus/internal/metrics"
+	"pegasus/internal/queries"
 	"pegasus/internal/weights"
 )
 
@@ -67,7 +68,7 @@ func thresholdStyleAblation(sc Scale, t *Table, mkCfg func(name string) core.Con
 				return nil, err
 			}
 			pe := metrics.PersonalizedError(g, res.Summary, w)
-			sm, sp, err := accuracy(res.Summary, truth, qs, QRWR, sc)
+			sm, sp, err := accuracy(res.Summary, queries.NewSummarySession(res.Summary), truth, qs, QRWR, sc)
 			if err != nil {
 				return nil, err
 			}

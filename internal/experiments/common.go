@@ -303,11 +303,12 @@ func computeTruth(g *graph.Graph, qs []graph.NodeID, kinds []QueryKind, sc Scale
 		hop: map[graph.NodeID][]float64{},
 		php: map[graph.NodeID][]float64{},
 	}
+	sess := queries.NewSession(queries.GraphOracle{G: g})
 	for _, k := range kinds {
 		for _, q := range qs {
 			switch k {
 			case QRWR:
-				v, err := queries.GraphRWR(g, q, sc.RWR)
+				v, err := sess.RWR(q, sc.RWR)
 				if err != nil {
 					return nil, err
 				}
@@ -319,7 +320,7 @@ func computeTruth(g *graph.Graph, qs []graph.NodeID, kinds []QueryKind, sc Scale
 				}
 				t.hop[q] = queries.ToFloats(queries.FillUnreached(d, int32(g.NumNodes())))
 			case QPHP:
-				v, err := queries.GraphPHP(g, q, sc.PHP)
+				v, err := sess.PHP(q, sc.PHP)
 				if err != nil {
 					return nil, err
 				}
@@ -331,14 +332,15 @@ func computeTruth(g *graph.Graph, qs []graph.NodeID, kinds []QueryKind, sc Scale
 }
 
 // accuracy answers the query set on the summary and averages SMAPE and
-// Spearman against the ground truth.
-func accuracy(s *summary.Summary, truth *groundTruth, qs []graph.NodeID, kind QueryKind, sc Scale) (smape, spear float64, err error) {
+// Spearman against the ground truth. sess is s's query session
+// (queries.NewSummarySession), made once per summary by the caller.
+func accuracy(s *summary.Summary, sess queries.Session, truth *groundTruth, qs []graph.NodeID, kind QueryKind, sc Scale) (smape, spear float64, err error) {
 	var sm, sp float64
 	for _, q := range qs {
 		var approx, exact []float64
 		switch kind {
 		case QRWR:
-			approx, err = queries.SummaryRWR(s, q, sc.RWR)
+			approx, err = sess.RWR(q, sc.RWR)
 			exact = truth.rwr[q]
 		case QHOP:
 			var d []int32
@@ -348,7 +350,7 @@ func accuracy(s *summary.Summary, truth *groundTruth, qs []graph.NodeID, kind Qu
 			}
 			exact = truth.hop[q]
 		case QPHP:
-			approx, err = queries.SummaryPHP(s, q, sc.PHP)
+			approx, err = sess.PHP(q, sc.PHP)
 			exact = truth.php[q]
 		}
 		if err != nil {

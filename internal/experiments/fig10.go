@@ -6,6 +6,7 @@ import (
 	"pegasus/internal/core"
 	"pegasus/internal/gen"
 	"pegasus/internal/graph"
+	"pegasus/internal/queries"
 )
 
 // Fig10 reproduces Fig. 10: the relation between the best-performing α and
@@ -59,8 +60,9 @@ func Fig10(sc Scale) (*Table, error) {
 				return nil, err
 			}
 			byAlpha[alpha] = map[QueryKind]score{}
+			sess := queries.NewSummarySession(res.Summary)
 			for _, kd := range kinds {
-				sm, sp, err := accuracy(res.Summary, truth, qs, kd, sc)
+				sm, sp, err := accuracy(res.Summary, sess, truth, qs, kd, sc)
 				if err != nil {
 					return nil, err
 				}

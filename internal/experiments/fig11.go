@@ -4,6 +4,7 @@ import (
 	"pegasus/internal/core"
 	"pegasus/internal/datasets"
 	"pegasus/internal/graph"
+	"pegasus/internal/queries"
 )
 
 // Fig11 reproduces Fig. 11: the effect of the adaptive-thresholding
@@ -44,8 +45,9 @@ func Fig11(sc Scale) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				sess := queries.NewSummarySession(res.Summary)
 				for _, k := range kinds {
-					sm, sp, err := accuracy(res.Summary, truth, qs, k, sc)
+					sm, sp, err := accuracy(res.Summary, sess, truth, qs, k, sc)
 					if err != nil {
 						return nil, err
 					}

@@ -93,14 +93,24 @@ func replicatedSummaryCluster(g *graph.Graph, s *summary.Summary, m int, labels 
 	return c
 }
 
+// appendClusterRows scores the cluster's answers to qs, each on the
+// machine the cluster routes it to, through one session per machine.
 func appendClusterRows(t *Table, ds string, ratio float64, system string, c *distributed.Cluster, truth *groundTruth, qs []graph.NodeID, kinds []QueryKind, sc Scale) error {
+	sessions := make([]queries.Session, len(c.Machines))
+	for i, m := range c.Machines {
+		sessions[i] = m.NewSession()
+	}
 	for _, k := range kinds {
 		var sm, sp float64
 		for _, q := range qs {
 			var approx, exact []float64
 			switch k {
 			case QRWR:
-				v, err := c.RWR(q, sc.RWR)
+				i, err := c.Route(q)
+				if err != nil {
+					return err
+				}
+				v, err := sessions[i].RWR(q, sc.RWR)
 				if err != nil {
 					return err
 				}
@@ -113,7 +123,11 @@ func appendClusterRows(t *Table, ds string, ratio float64, system string, c *dis
 				approx = queries.ToFloats(queries.FillUnreached(d, int32(len(c.Assign))))
 				exact = truth.hop[q]
 			case QPHP:
-				v, err := c.PHP(q, sc.PHP)
+				i, err := c.Route(q)
+				if err != nil {
+					return err
+				}
+				v, err := sessions[i].PHP(q, sc.PHP)
 				if err != nil {
 					return err
 				}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"pegasus/internal/datasets"
 	"pegasus/internal/graph"
+	"pegasus/internal/queries"
 )
 
 // Fig7 reproduces Fig. 7: query-answering accuracy versus compression ratio,
@@ -54,8 +55,9 @@ func fig7impl(sc Scale, kinds []QueryKind, title string) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				sess := queries.NewSummarySession(res.s)
 				for _, k := range kinds {
-					sm, sp, err := accuracy(res.s, truth, qs, k, sc)
+					sm, sp, err := accuracy(res.s, sess, truth, qs, k, sc)
 					if err != nil {
 						return nil, err
 					}

@@ -4,6 +4,7 @@ import (
 	"pegasus/internal/core"
 	"pegasus/internal/datasets"
 	"pegasus/internal/graph"
+	"pegasus/internal/queries"
 )
 
 // Fig9 reproduces Fig. 9: the effect of the degree of personalization α on
@@ -62,8 +63,9 @@ func alphaSweep(sc Scale, alphas, ratios []float64, kinds []QueryKind) ([]sweepR
 				if err != nil {
 					return nil, err
 				}
+				sess := queries.NewSummarySession(res.Summary)
 				for _, k := range kinds {
-					sm, sp, err := accuracy(res.Summary, truth, qs, k, sc)
+					sm, sp, err := accuracy(res.Summary, sess, truth, qs, k, sc)
 					if err != nil {
 						return nil, err
 					}

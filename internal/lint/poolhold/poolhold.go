@@ -4,9 +4,10 @@
 // Concretely, the function literal passed to a Pool's Run method (the
 // lexical window during which the slot is held) may not
 //
-//   - wait on a singleflight (Group.Do/DoChan, Cache.GetOrCompute): the
-//     flight leader may need a pool slot of its own, and with every slot
-//     occupied by waiters the pool deadlocks;
+//   - wait on a singleflight (Group.Do/DoChan, Cache.GetOrCompute and
+//     its store-flag variant getOrCompute): the flight leader may need a
+//     pool slot of its own, and with every slot occupied by waiters the
+//     pool deadlocks;
 //   - receive from a channel or run a select without a default clause;
 //   - call a Wait method (sync.WaitGroup, sync.Cond, errgroup).
 //
@@ -126,7 +127,8 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 
 // blockingCall classifies calls that wait on other goroutines: any Wait
 // method, singleflight-style Do/DoChan on a Group, and the cache's
-// singleflight entry point GetOrCompute.
+// singleflight entry points GetOrCompute and getOrCompute (its variant
+// with a store flag).
 func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	f := lintutil.CalleeFunc(pass, call)
 	if f == nil {
@@ -142,9 +144,9 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		if recv == "Group" {
 			return recv + "." + f.Name() + " (singleflight)", true
 		}
-	case "GetOrCompute":
+	case "GetOrCompute", "getOrCompute":
 		if recv != "" {
-			return recv + ".GetOrCompute (singleflight)", true
+			return recv + "." + f.Name() + " (singleflight)", true
 		}
 	}
 	return "", false

@@ -28,13 +28,18 @@ type Cache struct{}
 
 func (c *Cache) GetOrCompute(key string, fn func() (any, error)) (any, error) { return fn() }
 
+func (c *Cache) getOrCompute(key string, store bool, fn func() (any, error)) (any, error) {
+	return fn()
+}
+
 func bad(ctx context.Context, p *Pool, g *Group, c *Cache, ch chan int, wg *sync.WaitGroup) {
 	_ = p.Run(ctx, func() error {
-		<-ch                            // want `channel receive while holding a pool slot`
-		wg.Wait()                       // want `WaitGroup\.Wait waits while holding a pool slot`
-		_, _ = g.Do("k", nil)           // want `Group\.Do \(singleflight\) waits while holding a pool slot`
-		_, _ = c.GetOrCompute("k", nil) // want `Cache\.GetOrCompute \(singleflight\) waits while holding a pool slot`
-		select {                        // want `select without default blocks while holding a pool slot`
+		<-ch                                   // want `channel receive while holding a pool slot`
+		wg.Wait()                              // want `WaitGroup\.Wait waits while holding a pool slot`
+		_, _ = g.Do("k", nil)                  // want `Group\.Do \(singleflight\) waits while holding a pool slot`
+		_, _ = c.GetOrCompute("k", nil)        // want `Cache\.GetOrCompute \(singleflight\) waits while holding a pool slot`
+		_, _ = c.getOrCompute("k", false, nil) // want `Cache\.getOrCompute \(singleflight\) waits while holding a pool slot`
+		select {                               // want `select without default blocks while holding a pool slot`
 		case v := <-ch:
 			_ = v
 		}

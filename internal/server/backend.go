@@ -16,9 +16,10 @@ import (
 // backend answers queries against the serving artifact: a
 // distributed.Cluster whose routing table sends each query node to the
 // machine owning it (§IV) — an unsharded server is a 1-machine cluster —
-// plus one query session per machine, made when the backend is built,
-// loaded or transplanted. Backends are immutable after construction; POST
-// /v1/summarize builds a replacement and the server swaps the pointer.
+// plus one query session per machine, made when the machine's artifact is
+// built or loaded and carried over with a transplanted machine. Backends
+// are immutable after construction; POST /v1/summarize builds a
+// replacement and the server swaps the pointer.
 type backend struct {
 	c *distributed.Cluster
 	// sessions[i] answers RWR and PHP on machine i. It holds the
@@ -28,12 +29,32 @@ type backend struct {
 	sessions []queries.Session
 }
 
-func newBackend(c *distributed.Cluster) *backend {
+// newBackend makes the backend of cluster c. A machine that a rebuild
+// transplanted from prev (nil on a cold build) keeps the session prev made
+// for it: the artifact is the same object, so its precompute is too.
+func newBackend(c *distributed.Cluster, prev *backend) *backend {
 	sessions := make([]queries.Session, len(c.Machines))
 	for i, m := range c.Machines {
-		sessions[i] = m.NewSession()
+		sessions[i] = prev.sessionOf(m)
+		if sessions[i] == nil {
+			sessions[i] = m.NewSession()
+		}
 	}
 	return &backend{c: c, sessions: sessions}
+}
+
+// sessionOf returns b's session for machine m, or nil when m is not one of
+// b's machines (or b is nil).
+func (b *backend) sessionOf(m *distributed.Machine) queries.Session {
+	if b == nil {
+		return nil
+	}
+	for j, pm := range b.c.Machines {
+		if pm == m {
+			return b.sessions[j]
+		}
+	}
+	return nil
 }
 
 func (b *backend) numNodes() int  { return len(b.c.Assign) }
@@ -78,31 +99,35 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 //
 // The build is incremental: each shard gets a content key — a fingerprint
 // of (graph, resolved target set, budget share, config)
-// — and shards whose key matches a shard of prev transplant that artifact
-// instead of rebuilding (equal keys imply bit-identical summaries, see
-// internal/distributed). A non-nil store adds the disk tier: shards not
-// satisfied by prev decode their artifact from the store when filed there,
-// and freshly built shards are persisted back — a restart with a populated
-// cache dir builds nothing. The per-shard keys land on the cluster's Keys;
+// — and shards whose key matches a shard of prev transplant that artifact,
+// and its session, instead of rebuilding (equal keys imply bit-identical
+// summaries, see internal/distributed). A non-nil store adds the disk
+// tier: shards not satisfied by prev decode their artifact from the store
+// when filed there, and freshly built shards are persisted back — a
+// restart with a populated cache dir builds nothing. The per-shard keys land on the cluster's Keys;
 // the stats count rebuilt/reused/loaded shards. graphToken is the cached
 // distributed.GraphToken of g.
 func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (*backend, distributed.BuildStats, error) {
 	budgetBits := cfg.BudgetRatio * g.SizeBits()
 	base := core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed}
 	// The partition depends only on (graph, Shards, PartitionMethod, Seed),
-	// none of which /v1/summarize can change, so labels — and with them the
-	// node→shard routing — are stable across hot rebuilds.
+	// none of which /v1/summarize can change, so a rebuild takes the labels
+	// — and with them the node→shard routing — from the previous backend
+	// instead of partitioning again.
 	var labels []uint32
-	if cfg.Shards > 1 {
+	var prevCluster *distributed.Cluster
+	var prevBackend *backend
+	switch {
+	case prev != nil:
+		prevBackend = prev.be
+		prevCluster = prev.be.c
+		labels = prevCluster.Assign
+	case cfg.Shards > 1:
 		labels = partition.Partition(g, cfg.Shards, partition.Method(cfg.PartitionMethod), cfg.Seed)
-	} else {
+	default:
 		labels = make([]uint32, g.NumNodes()) // one part, V: no partitioner to run
 	}
 	cfgKey, _ := base.ContentKey() // server configs never set Threshold, but stay safe
-	var prevCluster *distributed.Cluster
-	if prev != nil {
-		prevCluster = prev.be.c
-	}
 	c, stats, err := distributed.BuildSummaryClusterCtx(ctx, g, labels, cfg.Shards, budgetBits,
 		distributed.PegasusSummarizer(base), distributed.BuildOpts{
 			Workers:    cfg.BuildWorkers,
@@ -115,5 +140,5 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 	if err != nil {
 		return nil, stats, fmt.Errorf("server: build cluster: %w", err)
 	}
-	return newBackend(c), stats, nil
+	return newBackend(c, prevBackend), stats, nil
 }

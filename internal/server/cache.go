@@ -39,14 +39,16 @@ type Cache struct {
 type cacheShard struct {
 	mu      sync.Mutex
 	cap     int
+	bytes   int64      // entryBytes summed over the stored entries
 	ll      *list.List // front = most recently used; values are *cacheEntry
 	items   map[string]*list.Element
 	flights map[string]*flight
 }
 
 type cacheEntry struct {
-	key string
-	val any
+	key   string
+	val   any
+	bytes int64 // entryBytes(key, val), subtracted again on eviction
 }
 
 // flight is one in-progress computation; done is closed when val/err are
@@ -55,6 +57,9 @@ type flight struct {
 	done chan struct{}
 	val  any
 	err  error
+	// store reports whether the leader or any caller that joined the
+	// flight asked for the value to be stored; guarded by the shard lock.
+	store bool
 }
 
 // NewCache returns a cache holding at most capacity entries (split evenly
@@ -83,15 +88,25 @@ func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[h.Sum32()&(cacheShardCount-1)]
 }
 
-// GetOrCompute returns the cached value for key, or computes it with fn. If
-// an identical computation is already in flight, the call blocks until that
-// computation finishes and shares its result (or until ctx is cancelled).
-// A waiter whose own context is still live when the in-flight leader aborts
-// on a context error retries with its own budget rather than inheriting the
-// leader's cancellation. Erroring computations are never stored.
+// GetOrCompute returns the cached value for key, or computes it with fn and
+// stores it. If an identical computation is already in flight, the call
+// blocks until that computation finishes and shares its result (or until
+// ctx is cancelled). A waiter whose own context is still live when the
+// in-flight leader aborts on a context error retries with its own budget
+// rather than inheriting the leader's cancellation. Erroring computations
+// are never stored.
+func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() (any, error)) (any, CacheStatus, error) {
+	return c.getOrCompute(ctx, key, true, fn)
+}
+
+// getOrCompute is GetOrCompute with a store flag. With store false the
+// lookup still returns a stored value and still joins an in-flight
+// computation, but a value it computes itself is not stored — unless a
+// storing lookup joined its flight meanwhile, since that caller asked for
+// the value in its own right.
 //
 //pegasus:hotpath cache lookup: the hit arm of the retry loop runs once per query
-func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() (any, error)) (any, CacheStatus, error) {
+func (c *Cache) getOrCompute(ctx context.Context, key string, store bool, fn func() (any, error)) (any, CacheStatus, error) {
 	sh := c.shard(key)
 	for {
 		sh.mu.Lock()
@@ -102,6 +117,9 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() (any, er
 			return val, CacheHit, nil
 		}
 		if f, ok := sh.flights[key]; ok {
+			if store {
+				f.store = true
+			}
 			sh.mu.Unlock()
 			select {
 			case <-f.done:
@@ -114,7 +132,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() (any, er
 			}
 		}
 		//lint:hotalloc miss path: one flight per computed key, amortized by fn's cost
-		f := &flight{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{}), store: store}
 		sh.flights[key] = f
 		sh.mu.Unlock()
 
@@ -133,19 +151,40 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() (any, er
 
 		sh.mu.Lock()
 		delete(sh.flights, key)
-		if f.err == nil && sh.cap > 0 {
+		if f.err == nil && f.store && sh.cap > 0 {
+			n := entryBytes(key, f.val)
 			//lint:hotalloc miss path: one stored entry per computed key
-			sh.items[key] = sh.ll.PushFront(&cacheEntry{key: key, val: f.val})
+			sh.items[key] = sh.ll.PushFront(&cacheEntry{key: key, val: f.val, bytes: n})
+			sh.bytes += n
 			for sh.ll.Len() > sh.cap {
 				oldest := sh.ll.Back()
 				sh.ll.Remove(oldest)
-				delete(sh.items, oldest.Value.(*cacheEntry).key)
+				e := oldest.Value.(*cacheEntry)
+				delete(sh.items, e.key)
+				sh.bytes -= e.bytes
 			}
 		}
 		sh.mu.Unlock()
 		close(f.done)
 		return f.val, CacheMiss, f.err
 	}
+}
+
+// entryBytes is what one stored entry adds to Bytes: its key plus the
+// payload of its value — 8 B per score of a []float64 vector, 4 B per hop
+// distance of an []int32, 16 B per ranked NodeScore. A value of any other
+// type counts its key alone.
+func entryBytes(key string, val any) int64 {
+	n := len(key)
+	switch v := val.(type) {
+	case []float64:
+		n += 8 * len(v)
+	case []int32:
+		n += 4 * len(v)
+	case []NodeScore:
+		n += 16 * len(v)
+	}
+	return int64(n)
 }
 
 func isContextErr(err error) bool {
@@ -161,6 +200,7 @@ func (c *Cache) Purge() {
 		sh.mu.Lock()
 		sh.ll.Init()
 		sh.items = make(map[string]*list.Element)
+		sh.bytes = 0
 		sh.mu.Unlock()
 	}
 }
@@ -172,6 +212,18 @@ func (c *Cache) Len() int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		n += sh.ll.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Bytes returns the key and value bytes of the stored entries (entryBytes).
+func (c *Cache) Bytes() int64 {
+	var n int64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += sh.bytes
 		sh.mu.Unlock()
 	}
 	return n

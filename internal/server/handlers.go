@@ -569,13 +569,19 @@ func (s *Server) plan(box *backendBox, kind, metric string, q graph.NodeID, shar
 		return key, compute
 	}
 	// topk caches the ranked answer under its own key (repeated identical
-	// topk queries must not re-rank the score vector) while sharing the
-	// underlying scores with plain metric queries through a nested cache
-	// lookup. Ranking runs on the worker pool: its O(|V| log k) heap pass is
+	// topk queries must not re-rank the score vector) and reaches the
+	// underlying scores through a nested lookup under the plain metric
+	// query's key: it reads a vector a full-vector query stored and joins
+	// an identical in-flight computation. It stores the vector itself only
+	// for pagerank, which is shard-scoped and so shared by the top-k of
+	// every node on the shard; a node's |V|-entry RWR or PHP vector would
+	// pin |V| floats per k-entry answer, so only the ranked entries are
+	// kept. Ranking runs on the worker pool: its O(|V| log k) heap pass is
 	// real CPU that the pool bound must cap.
 	topkKey := fmt.Sprintf("%s|top%d", key, p.k)
+	storeScores := metric == "pagerank"
 	return topkKey, func(ctx context.Context) (any, error) {
-		val, _, err := s.cache.GetOrCompute(ctx, key, func() (any, error) { return compute(ctx) })
+		val, _, err := s.cache.getOrCompute(ctx, key, storeScores, func() (any, error) { return compute(ctx) })
 		if err != nil {
 			return nil, err
 		}
@@ -757,10 +763,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK,
-			s.metrics.SnapshotNow(s.cache.Len(), s.pool.InFlight(), s.gen.Load(), persist))
+			s.metrics.SnapshotNow(s.cache.Len(), s.cache.Bytes(), s.pool.InFlight(), s.gen.Load(), persist))
 	case "prometheus":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.metrics.WriteProm(w, s.cache.Len(), s.pool.InFlight(), s.gen.Load(), persist)
+		_ = s.metrics.WriteProm(w, s.cache.Len(), s.cache.Bytes(), s.pool.InFlight(), s.gen.Load(), persist)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown metrics format %q (want json or prometheus)", format)
 	}

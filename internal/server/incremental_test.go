@@ -320,3 +320,36 @@ func TestBatchQueriesRacingPartialRebuild(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRebuildReusesLabelsAndSessions: a one-shard rebuild takes the
+// node→shard labels from the previous backend — the same slice, not a second
+// partition run — and every transplanted machine keeps the query session
+// (weighted degrees, self-loop weights, lane layout) made for it, while the
+// rebuilt shard gets a session of its own.
+func TestRebuildReusesLabelsAndSessions(t *testing.T) {
+	s := incrementalServer(t)
+	old := s.current().be
+	assign := assignOf(t, s)
+	const changed = 2
+	res, raw := postJSON(t, s.Handler(), "/v1/summarize",
+		map[string]any{"targets": partialTargets(assign, changed, 2)})
+	if res.StatusCode != 200 {
+		t.Fatalf("summarize: %d: %s", res.StatusCode, raw)
+	}
+	be := s.current().be
+	if be == old {
+		t.Fatal("rebuild did not swap the backend")
+	}
+	if &be.c.Assign[0] != &old.c.Assign[0] {
+		t.Error("rebuild partitioned again: the new Assign is not the previous backend's slice")
+	}
+	for i := range be.c.Machines {
+		reused := be.c.Machines[i] == old.c.Machines[i]
+		if reused != (i != changed) {
+			t.Fatalf("shard %d: transplanted %v, want %v", i, reused, i != changed)
+		}
+		if same := be.sessions[i] == old.sessions[i]; same != reused {
+			t.Errorf("shard %d: session carried over %v, want %v", i, same, reused)
+		}
+	}
+}

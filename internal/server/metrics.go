@@ -201,6 +201,10 @@ type CacheMetrics struct {
 	Shared  uint64  `json:"shared"` // singleflight-deduplicated lookups
 	HitRate float64 `json:"hit_rate"`
 	Entries int     `json:"entries"`
+	// Bytes is the stored entries' keys plus their values' payload: 8 B
+	// per score of a score vector, 4 B per hop distance, 16 B per ranked
+	// top-k entry.
+	Bytes int64 `json:"bytes"`
 }
 
 // Snapshot is a point-in-time view of the serving telemetry, served as JSON
@@ -248,10 +252,10 @@ type RuntimeMetrics struct {
 // struct to keep in sync.
 type PersistMetrics = persist.Stats
 
-// SnapshotNow assembles a snapshot; cacheEntries, inFlight, generation and
-// persist come from the server because Metrics does not own those
-// components (persist is nil when no artifact store is configured).
-func (m *Metrics) SnapshotNow(cacheEntries, inFlight int, generation uint64, persist *PersistMetrics) Snapshot {
+// SnapshotNow assembles a snapshot; cacheEntries, cacheBytes, inFlight,
+// generation and persist come from the server because Metrics does not own
+// those components (persist is nil when no artifact store is configured).
+func (m *Metrics) SnapshotNow(cacheEntries int, cacheBytes int64, inFlight int, generation uint64, persist *PersistMetrics) Snapshot {
 	uptime := time.Since(m.start).Seconds()
 	reqs := m.requests.Load()
 	hits, misses, shared := m.cacheHits.Load(), m.cacheMisses.Load(), m.cacheShared.Load()
@@ -267,6 +271,7 @@ func (m *Metrics) SnapshotNow(cacheEntries, inFlight int, generation uint64, per
 			Misses:  misses,
 			Shared:  shared,
 			Entries: cacheEntries,
+			Bytes:   cacheBytes,
 		},
 		Endpoints:    make(map[string]uint64),
 		ShardQueries: make([]uint64, len(m.shards)),

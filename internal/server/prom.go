@@ -39,9 +39,9 @@ func cumulate(hist *[histBuckets]atomic.Uint64) ([]uint64, uint64) {
 // (version 0.0.4). It reads the same atomics the JSON snapshot reads — the
 // two views never disagree about what was counted — plus the per-endpoint
 // latency histograms the JSON shape has no room for. The auxiliary gauges
-// (cacheEntries, inFlight, generation, persist) come from the server for the
-// same reason they do in SnapshotNow.
-func (m *Metrics) WriteProm(w io.Writer, cacheEntries, inFlight int, generation uint64, persist *PersistMetrics) error {
+// (cacheEntries, cacheBytes, inFlight, generation, persist) come from the
+// server for the same reason they do in SnapshotNow.
+func (m *Metrics) WriteProm(w io.Writer, cacheEntries int, cacheBytes int64, inFlight int, generation uint64, persist *PersistMetrics) error {
 	t := obs.NewTextWriter(w)
 
 	t.Family("pegasus_requests_total", "counter", "HTTP requests served.")
@@ -86,6 +86,8 @@ func (m *Metrics) WriteProm(w io.Writer, cacheEntries, inFlight int, generation 
 	t.Sample("pegasus_cache_lookups_total", []obs.Label{{Name: "result", Value: "shared"}}, float64(m.cacheShared.Load()))
 	t.Family("pegasus_cache_entries", "gauge", "Query cache entries currently stored.")
 	t.Sample("pegasus_cache_entries", nil, float64(cacheEntries))
+	t.Family("pegasus_cache_bytes", "gauge", "Query cache bytes currently stored: keys plus score, distance and ranked-answer payloads.")
+	t.Sample("pegasus_cache_bytes", nil, float64(cacheBytes))
 
 	t.Family("pegasus_batch_requests_total", "counter", "Batch query requests served.")
 	t.Sample("pegasus_batch_requests_total", nil, float64(m.batches.Load()))

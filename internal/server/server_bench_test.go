@@ -42,11 +42,11 @@ func benchServer(b *testing.B) *Server {
 	return benchSrv
 }
 
-func benchQuery(b *testing.B, s *Server, h http.Handler, node uint32) {
+func benchQuery(b *testing.B, h http.Handler, path string, req QueryRequest) {
 	b.Helper()
-	body, _ := json.Marshal(QueryRequest{Node: node})
+	body, _ := json.Marshal(req)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query/rwr", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -60,8 +60,24 @@ func BenchmarkServeRWRUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.cache.Purge()
-		benchQuery(b, s, h, 42)
+		benchQuery(b, h, "/v1/query/rwr", QueryRequest{Node: 42})
 	}
+}
+
+// BenchmarkServeTopKUncached purges the cache every iteration and asks for
+// the default top-10 by RWR: each query pays the power iteration and the
+// ranking. cache-B reports the bytes one cold top-k leaves stored — its
+// ranked answer and key, not the |V|-entry score vector it ranked.
+func BenchmarkServeTopKUncached(b *testing.B) {
+	s := benchServer(b)
+	h := s.Handler()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.cache.Purge()
+		benchQuery(b, h, "/v1/query/topk", QueryRequest{Node: 42})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.cache.Bytes()), "cache-B")
 }
 
 // BenchmarkServeRWRCached repeats one warm query: the cost is routing, cache
@@ -69,10 +85,10 @@ func BenchmarkServeRWRUncached(b *testing.B) {
 func BenchmarkServeRWRCached(b *testing.B) {
 	s := benchServer(b)
 	h := s.Handler()
-	benchQuery(b, s, h, 42) // warm
+	benchQuery(b, h, "/v1/query/rwr", QueryRequest{Node: 42}) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchQuery(b, s, h, 42)
+		benchQuery(b, h, "/v1/query/rwr", QueryRequest{Node: 42})
 	}
 }
 
@@ -81,11 +97,11 @@ func BenchmarkServeRWRCached(b *testing.B) {
 func BenchmarkServeRWRCachedParallel(b *testing.B) {
 	s := benchServer(b)
 	h := s.Handler()
-	benchQuery(b, s, h, 42) // warm
+	benchQuery(b, h, "/v1/query/rwr", QueryRequest{Node: 42}) // warm
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			benchQuery(b, s, h, 42)
+			benchQuery(b, h, "/v1/query/rwr", QueryRequest{Node: 42})
 		}
 	})
 }
