@@ -43,53 +43,17 @@ func GraphHOP(g *graph.Graph, q graph.NodeID) ([]int32, error) {
 	return graph.BFS(g, q), nil
 }
 
-// SummaryHOP answers HOP on a summary graph at supernode granularity in
-// O(|V|+|P|) per BFS level: all members of a supernode become reachable at
-// the same hop (they share their reconstructed neighborhood), except for the
-// query node's own supernode, whose remaining members are only adjacent to q
-// through a self-loop.
+// SummaryHOP answers HOP on a summary graph at supernode granularity: one
+// BFS over the supernodes, O(|S|+|P|), whose answer is expanded to the
+// |V| distances in one O(|V|) pass. All members of a supernode become
+// reachable at the same hop (they share their reconstructed neighborhood),
+// except for the query node's own supernode, whose remaining members are
+// only adjacent to q through a self-loop.
 func SummaryHOP(s *summary.Summary, q graph.NodeID) ([]int32, error) {
-	n := s.NumNodes()
-	if int(q) >= n {
+	if n := s.NumNodes(); int(q) >= n {
 		return nil, fmt.Errorf("queries: query node %d out of range (|V|=%d)", q, n)
 	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[q] = 0
-	ns := s.NumSupernodes()
-	assigned := make([]int, ns) // members assigned so far per supernode
-	sq := s.Supernode(q)
-	assigned[sq] = 1
-
-	// frontier holds supernodes that acquired newly-assigned members at the
-	// current distance d; traversing any superedge assigns distance d+1 to
-	// the unassigned members on the other side.
-	frontier := []uint32{sq}
-	for d := int32(0); len(frontier) > 0; d++ {
-		var next []uint32
-		for _, x := range frontier {
-			s.ForEachSuperNeighbor(x, func(y uint32, _ float64) {
-				if assigned[y] == len(s.Members(y)) {
-					return
-				}
-				newly := 0
-				for _, v := range s.Members(y) {
-					if dist[v] == -1 {
-						dist[v] = d + 1
-						newly++
-					}
-				}
-				if newly > 0 {
-					assigned[y] += newly
-					next = append(next, y)
-				}
-			})
-		}
-		frontier = next
-	}
-	return dist, nil
+	return summaryHOP(s, q).Dists(), nil
 }
 
 // FillUnreached replaces -1 entries with the maximum observed distance (the

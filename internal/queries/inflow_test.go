@@ -79,7 +79,7 @@ func TestInflowMatchesPerSupernodeSums(t *testing.T) {
 		}
 		weighted := i/6%2 == 1
 		s := inflowSummary(rng, ns, weighted)
-		ss := NewSummarySession(s).(*summarySession)
+		ss := NewSummarySession(s)
 		x := make([]float64, ns+1)
 		for b := 0; b < ns; b++ {
 			if rng.Intn(5) > 0 {

@@ -47,9 +47,10 @@ func GraphPHP(g *graph.Graph, q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 }
 
 // SummaryPHP answers PHP on a summary graph with per-iteration cost
-// O(|V|+|P|), aggregating PHP mass per supernode (reconstructed adjacency is
-// block-constant, as in SummaryRWR). For many queries on one summary, a
-// NewSummarySession shares the precompute across calls.
+// O(|S|+|P|), iterating over supernodes (reconstructed adjacency is
+// block-constant, as in SummaryRWR), plus one O(|V|) expansion of the
+// answer. For many queries on one summary, a NewSummarySession shares the
+// precompute across calls.
 func SummaryPHP(s *summary.Summary, q graph.NodeID, cfg PHPConfig) ([]float64, error) {
 	return NewSummarySession(s).PHP(q, cfg)
 }

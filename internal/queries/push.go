@@ -116,70 +116,3 @@ func PushRWR(o Oracle, q graph.NodeID, cfg PushConfig) ([]float64, error) {
 	}
 	return p, nil
 }
-
-// TopK returns the k highest-scoring nodes of a score vector in descending
-// order (ties broken by node ID) — the k-NN answer shape of [79]. A NaN
-// score ranks below every number. It keeps the k best in a bounded heap,
-// O(|V| log k), and sorts them in place.
-func TopK(scores []float64, k int) []graph.NodeID {
-	k = min(k, len(scores))
-	if k <= 0 {
-		return nil
-	}
-	// h is a heap of the k best nodes so far with the lowest-ranked at
-	// h[0]: no node ranks above either of its children.
-	h := make([]graph.NodeID, k)
-	for i := range h {
-		h[i] = graph.NodeID(i)
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(scores, h, i)
-	}
-	for u := k; u < len(scores); u++ {
-		if ranksAbove(scores, graph.NodeID(u), h[0]) {
-			h[0] = graph.NodeID(u)
-			siftDown(scores, h, 0)
-		}
-	}
-	// Heapsort: moving the lowest-ranked to the back, one at a time, leaves
-	// h in descending rank order.
-	for end := k - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(scores, h[:end], 0)
-	}
-	return h
-}
-
-// siftDown moves h[i] down the heap until no node ranks above its children.
-func siftDown(scores []float64, h []graph.NodeID, i int) {
-	for {
-		low := i
-		if c := 2*i + 1; c < len(h) && ranksAbove(scores, h[low], h[c]) {
-			low = c
-		}
-		if c := 2*i + 2; c < len(h) && ranksAbove(scores, h[low], h[c]) {
-			low = c
-		}
-		if low == i {
-			return
-		}
-		h[i], h[low] = h[low], h[i]
-		i = low
-	}
-}
-
-// ranksAbove reports whether node a ranks above node b in TopK's order:
-// the higher score first, a NaN below every number, then the lower ID.
-func ranksAbove(scores []float64, a, b graph.NodeID) bool {
-	sa, sb := scores[a], scores[b]
-	switch {
-	case sa > sb:
-		return true
-	case sa < sb:
-		return false
-	}
-	if aNaN, bNaN := sa != sa, sb != sb; aNaN != bNaN {
-		return bNaN
-	}
-	return a < b
-}

@@ -22,22 +22,24 @@ import (
 // replacement and the server swaps the pointer.
 type backend struct {
 	c *distributed.Cluster
-	// sessions[i] answers RWR and PHP on machine i. It holds the
-	// artifact's query precompute (weighted degrees, self-loop weights,
-	// the superedge lane layout), paid once here instead of once per
-	// request, and is safe for concurrent use.
-	sessions []queries.Session
+	// sessions[i] answers RWR, PHP and HOP on machine i's summary, at
+	// supernode granularity. It holds the artifact's query precompute
+	// (weighted degrees, self-loop weights, dead ends, the superedge lane
+	// layout), paid once here instead of once per request, and is safe
+	// for concurrent use.
+	sessions []*queries.SummarySession
 }
 
-// newBackend makes the backend of cluster c. A machine that a rebuild
-// transplanted from prev (nil on a cold build) keeps the session prev made
-// for it: the artifact is the same object, so its precompute is too.
+// newBackend makes the backend of cluster c, whose machines all hold
+// summaries. A machine that a rebuild transplanted from prev (nil on a
+// cold build) keeps the session prev made for it: the artifact is the same
+// object, so its precompute is too.
 func newBackend(c *distributed.Cluster, prev *backend) *backend {
-	sessions := make([]queries.Session, len(c.Machines))
+	sessions := make([]*queries.SummarySession, len(c.Machines))
 	for i, m := range c.Machines {
 		sessions[i] = prev.sessionOf(m)
 		if sessions[i] == nil {
-			sessions[i] = m.NewSession()
+			sessions[i] = queries.NewSummarySession(m.Summary)
 		}
 	}
 	return &backend{c: c, sessions: sessions}
@@ -45,7 +47,7 @@ func newBackend(c *distributed.Cluster, prev *backend) *backend {
 
 // sessionOf returns b's session for machine m, or nil when m is not one of
 // b's machines (or b is nil).
-func (b *backend) sessionOf(m *distributed.Machine) queries.Session {
+func (b *backend) sessionOf(m *distributed.Machine) *queries.SummarySession {
 	if b == nil {
 		return nil
 	}

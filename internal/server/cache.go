@@ -171,20 +171,22 @@ func (c *Cache) getOrCompute(ctx context.Context, key string, store bool, fn fun
 }
 
 // entryBytes is what one stored entry adds to Bytes: its key plus the
-// payload of its value — 8 B per score of a []float64 vector, 4 B per hop
-// distance of an []int32, 16 B per ranked NodeScore. A value of any other
-// type counts its key alone.
+// payload of its value. A value that reports its own size (a compact
+// RWR, PHP or HOP answer: 8 B per score or 1 or 4 B per distance, one per
+// supernode plus q's own) counts that; a []float64 vector 8 B per score
+// and a ranked answer 16 B per NodeScore. A value of any other type counts
+// its key alone.
 func entryBytes(key string, val any) int64 {
-	n := len(key)
+	n := int64(len(key))
 	switch v := val.(type) {
+	case interface{ Bytes() int64 }:
+		n += v.Bytes()
 	case []float64:
-		n += 8 * len(v)
-	case []int32:
-		n += 4 * len(v)
+		n += 8 * int64(len(v))
 	case []NodeScore:
-		n += 16 * len(v)
+		n += 16 * int64(len(v))
 	}
-	return int64(n)
+	return n
 }
 
 func isContextErr(err error) bool {

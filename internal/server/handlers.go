@@ -539,16 +539,42 @@ func cacheStatusLabel(s CacheStatus, err error) string {
 }
 
 // fillResult routes a computed value into the kind-appropriate response
-// field (shared by the single-query and batch answer shapes).
+// field (shared by the single-query and batch answer shapes), expanding a
+// compact RWR, PHP or HOP answer to its |V| entries.
 func fillResult(scores *[]float64, dist *[]int32, top *[]NodeScore, kind string, val any) {
-	switch kind {
-	case "hop":
-		*dist = val.([]int32)
-	case "topk":
-		*top = val.([]NodeScore)
-	default:
-		*scores = val.([]float64)
+	switch v := val.(type) {
+	case *queries.Answer:
+		if kind == "hop" {
+			*dist = v.Dists()
+		} else {
+			*scores = v.Scores()
+		}
+	case []NodeScore:
+		*top = v
+	case []float64:
+		*scores = v
 	}
+}
+
+// rank returns the k best entries of a score answer, a compact RWR or PHP
+// answer or a PageRank vector, in TopK's order.
+func rank(val any, k int) []NodeScore {
+	var top []NodeScore
+	switch v := val.(type) {
+	case *queries.Answer:
+		ids := v.TopK(k)
+		top = make([]NodeScore, len(ids))
+		for i, id := range ids {
+			top[i] = NodeScore{Node: uint32(id), Score: v.At(id)}
+		}
+	case []float64:
+		ids := queries.TopK(v, k)
+		top = make([]NodeScore, len(ids))
+		for i, id := range ids {
+			top[i] = NodeScore{Node: uint32(id), Score: v[id]}
+		}
+	}
+	return top
 }
 
 // plan returns the cache key and compute closure for one query. The key
@@ -585,14 +611,9 @@ func (s *Server) plan(box *backendBox, kind, metric string, q graph.NodeID, shar
 		if err != nil {
 			return nil, err
 		}
-		scores := val.([]float64)
 		var top []NodeScore
 		err = s.pool.Run(ctx, func() error {
-			ids := queries.TopK(scores, p.k)
-			top = make([]NodeScore, 0, len(ids))
-			for _, id := range ids {
-				top = append(top, NodeScore{Node: uint32(id), Score: scores[id]})
-			}
+			top = rank(val, p.k)
 			return nil
 		})
 		if err != nil {
@@ -635,7 +656,7 @@ func (s *Server) metricPlan(box *backendBox, metric string, q graph.NodeID, shar
 		return fmt.Sprintf("g%d|hop|n%d", sgen, q),
 			pooled(func(ctx context.Context) (any, error) {
 				_ = ctx // BFS is single-pass; bounded by the pool, not the context
-				return box.be.c.HOP(q)
+				return box.be.sessions[shard].HOPAnswer(q)
 			})
 	case "php":
 		cfg := queries.PHPConfig{C: p.c, Eps: p.eps, MaxIter: p.maxIter}
@@ -643,7 +664,7 @@ func (s *Server) metricPlan(box *backendBox, metric string, q graph.NodeID, shar
 			pooled(func(ctx context.Context) (any, error) {
 				cfg := cfg
 				cfg.Ctx = ctx
-				return box.be.sessions[shard].PHP(q, cfg)
+				return box.be.sessions[shard].PHPAnswer(q, cfg)
 			})
 	case "pagerank":
 		cfg := queries.PageRankConfig{Damping: p.damping, Eps: p.eps, MaxIter: p.maxIter}
@@ -659,7 +680,7 @@ func (s *Server) metricPlan(box *backendBox, metric string, q graph.NodeID, shar
 			pooled(func(ctx context.Context) (any, error) {
 				cfg := cfg
 				cfg.Ctx = ctx
-				return box.be.sessions[shard].RWR(q, cfg)
+				return box.be.sessions[shard].RWRAnswer(q, cfg)
 			})
 	}
 }

@@ -61,6 +61,18 @@ func checkCache(t *testing.T, s *Server, entries int, bytes int64) {
 	}
 }
 
+// rwrAnswerBytes is what a stored full-vector RWR or PHP answer for q
+// holds: 8 B per supernode of q's shard plus 8 B for q's own score.
+func rwrAnswerBytes(t *testing.T, s *Server, q uint32) int64 {
+	t.Helper()
+	be := s.current().be
+	shard, err := be.shard(graph.NodeID(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 8 * int64(be.c.Machines[shard].Summary.NumSupernodes()+1)
+}
+
 func queryOK(t *testing.T, h http.Handler, path string, req any) QueryResponse {
 	t.Helper()
 	res, raw := postJSON(t, h, path, req)
@@ -110,7 +122,7 @@ func TestColdTopKStoresOnlyRankedAnswer(t *testing.T) {
 		}
 	}
 	vecKey := keyOf(t, s, "rwr", "rwr", q, 0)
-	checkCache(t, s, 2, int64(len(topKey)+16*k+len(vecKey)+8*len(vec.Scores)))
+	checkCache(t, s, 2, int64(len(topKey)+16*k+len(vecKey)+int(rwrAnswerBytes(t, s, q))))
 }
 
 func TestTopKReadsStoredVector(t *testing.T) {
@@ -125,7 +137,12 @@ func TestTopKReadsStoredVector(t *testing.T) {
 	if top.Cached {
 		t.Fatal("first topk reported cached: its ranked answer was not stored before")
 	}
-	checkCache(t, s, 2, int64(len(keyOf(t, s, "rwr", "rwr", q, 0))+8*len(vec.Scores)+
+	for _, e := range top.Top {
+		if e.Score != vec.Scores[e.Node] {
+			t.Fatalf("topk score of node %d is %v, the vector's entry %v", e.Node, e.Score, vec.Scores[e.Node])
+		}
+	}
+	checkCache(t, s, 2, int64(len(keyOf(t, s, "rwr", "rwr", q, 0))+int(rwrAnswerBytes(t, s, q))+
 		len(keyOf(t, s, "topk", "rwr", q, k))+16*k))
 }
 
@@ -199,7 +216,7 @@ func TestFullVectorJoiningTopKFlightIsStored(t *testing.T) {
 	if !vec.Cached {
 		t.Error("the full-vector rwr did not share the topk's in-flight computation")
 	}
-	checkCache(t, s, 2, int64(len(vecKey)+8*len(vec.Scores)+len(keyOf(t, s, "topk", "rwr", q, k))+16*k))
+	checkCache(t, s, 2, int64(len(vecKey)+int(rwrAnswerBytes(t, s, q))+len(keyOf(t, s, "topk", "rwr", q, k))+16*k))
 	if again := queryOK(t, h, "/v1/query/rwr", QueryRequest{Node: q}); !again.Cached {
 		t.Error("repeat full-vector rwr missed: the joined vector was not stored")
 	}
