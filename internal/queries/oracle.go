@@ -6,8 +6,11 @@
 // Summary-side answering comes in two flavors: a naive reference that
 // expands Alg. 4 neighborhoods node by node (exactly the paper's
 // pseudocode), and block-accelerated versions exploiting that reconstructed
-// adjacency is constant within supernode blocks, bringing the per-iteration
-// cost down from O(|Ê|) to O(|V|+|P|). The two are cross-validated in tests.
+// adjacency is constant within supernode blocks: every member of a
+// supernode but the query node gets the same answer, so they iterate over
+// supernodes, bringing the per-iteration cost down from O(|Ê|) to
+// O(|S|+|P|), and answer at supernode granularity (Answer). The two are
+// cross-validated in tests.
 package queries
 
 import (

@@ -8,18 +8,19 @@ import (
 )
 
 // Session answers RWR and PHP queries over one artifact. The
-// query-independent precompute — the weighted-degree vector and, on
-// summaries, the per-supernode self-loop weights and the lane layout of the
-// superedge lists, O(|V|+|P|) in all — is computed once, when the session
-// is created, so a session built with its artifact pays that cost once for
-// every query the artifact ever answers: the amortization the paper's
-// multi-query serving workloads (§IV, §V) rely on. The plain entry points (RWR, SummaryRWR, ...) build a throwaway
+// query-independent precompute — the weighted degrees and, on summaries
+// (SummarySession), the per-supernode self-loop weights, the dead ends and
+// the lane layout of the superedge lists, O(|V|+|P|) in all — is computed
+// once, when the session is created, so a session built with its artifact
+// pays that cost once for every query the artifact ever answers: the
+// amortization the paper's multi-query serving workloads (§IV, §V) rely
+// on. The plain entry points (RWR, SummaryRWR, ...) build a throwaway
 // session per call.
 //
 // A session is immutable after construction: each call allocates its own
-// iteration vectors and returns the last one, so results outlive the
-// session and one session is safe for concurrent use by any number of
-// goroutines.
+// iteration vectors and returns its answer in a vector of its own, so
+// results outlive the session and one session is safe for concurrent use
+// by any number of goroutines.
 type Session interface {
 	// RWR answers random walk with restart w.r.t. q (Alg. 6).
 	RWR(q graph.NodeID, cfg RWRConfig) ([]float64, error)

@@ -19,9 +19,10 @@ const lanes = 4
 // (Alg. 4), so every member of a supernode other than the query node q
 // takes the same value in every iteration, bit for bit: the kernels keep
 // one value per supernode plus q's own, and an iteration costs one pass
-// over the |S| supernodes plus the superedge lists, O(|S|+|P|), instead of
-// O(|V|+|P|). The answers are Answers; RWR and PHP expand them into the
-// |V|-entry vectors of the Session interface.
+// over the |S| supernodes plus the padded lane entries of the superedge
+// lists, O(|S|+|P|), instead of O(|V|+|P|). The answers are Answers; RWR
+// and PHP expand them into the |V|-entry vectors of the Session interface
+// in one O(|V|) pass.
 //
 // The session holds the query-independent precompute: per supernode the
 // weighted degree of its members, its self-loop weight and its member
@@ -50,8 +51,10 @@ type SummarySession struct {
 	laneWts     [][lanes]float64 // parallel to laneNbr; nil when every weight is 1
 }
 
-// NewSummarySession returns a session over a summary graph. It computes
-// the weighted degrees and self-loop weights with one pass over the
+// NewSummarySession returns a session over a summary graph, running the
+// supernode-granular implementations: O(|S|+|P|) per iteration, plus one
+// O(|V|) expansion when an answer is returned as a vector. It computes the
+// weighted degrees and self-loop weights with one pass over the
 // superedges, lists the dead-end nodes (weighted degree 0), and lays the
 // superedge lists out in lanes for inflow: O(|V|+|P|), once.
 func NewSummarySession(s *summary.Summary) *SummarySession {
@@ -492,8 +495,8 @@ func sumCopies(s, x float64, k int) float64 {
 		if inc == 0 {
 			return s
 		}
-		// Addition j of the run starts from t+(j−1)·inc and stays below
-		// 2^se−1075+53 while (j−1)·inc ≤ room−1.
+		// Addition j of the run adds x to t+(j−1)·inc steps and stays
+		// below the binade's top, 2^53 steps, while (j−1)·inc ≤ room−1.
 		room := 1<<53 - t - a
 		if room < 1 {
 			continue

@@ -53,7 +53,9 @@ func benchQuery(b *testing.B, h http.Handler, path string, req QueryRequest) {
 }
 
 // BenchmarkServeRWRUncached purges the cache every iteration: each query
-// pays the full power iteration on the owning shard's summary.
+// pays the full power iteration on the owning shard's summary. cache-B
+// reports the bytes one cold RWR leaves stored — its key and its compact
+// answer, one score per supernode of the shard plus q's own.
 func BenchmarkServeRWRUncached(b *testing.B) {
 	s := benchServer(b)
 	h := s.Handler()
@@ -62,6 +64,24 @@ func BenchmarkServeRWRUncached(b *testing.B) {
 		s.cache.Purge()
 		benchQuery(b, h, "/v1/query/rwr", QueryRequest{Node: 42})
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.cache.Bytes()), "cache-B")
+}
+
+// BenchmarkServeHOPUncached purges the cache every iteration: each query
+// pays one BFS over the owning shard's supernodes. cache-B reports the
+// bytes one cold HOP leaves stored — its key and its compact answer, one
+// distance per supernode plus q's own, a byte each.
+func BenchmarkServeHOPUncached(b *testing.B) {
+	s := benchServer(b)
+	h := s.Handler()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.cache.Purge()
+		benchQuery(b, h, "/v1/query/hop", QueryRequest{Node: 42})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.cache.Bytes()), "cache-B")
 }
 
 // BenchmarkServeTopKUncached purges the cache every iteration and asks for
@@ -81,7 +101,8 @@ func BenchmarkServeTopKUncached(b *testing.B) {
 }
 
 // BenchmarkServeRWRCached repeats one warm query: the cost is routing, cache
-// lookup and JSON encoding only.
+// lookup, the expansion of the stored compact answer to |V| scores, and
+// JSON encoding.
 func BenchmarkServeRWRCached(b *testing.B) {
 	s := benchServer(b)
 	h := s.Handler()

@@ -146,7 +146,8 @@ func GraphRWR(g *Graph, q NodeID, cfg RWRConfig) ([]float64, error) {
 }
 
 // SummaryRWR answers RWR approximately on a summary graph (block-accelerated
-// Alg. 6).
+// Alg. 6): O(|S|+|P|) per iteration over the supernodes, plus one O(|V|)
+// expansion of the answer.
 func SummaryRWR(s *Summary, q NodeID, cfg RWRConfig) ([]float64, error) {
 	return queries.SummaryRWR(s, q, cfg)
 }
@@ -154,7 +155,8 @@ func SummaryRWR(s *Summary, q NodeID, cfg RWRConfig) ([]float64, error) {
 // GraphHOP computes exact hop distances (BFS) on the input graph.
 func GraphHOP(g *Graph, q NodeID) ([]int32, error) { return queries.GraphHOP(g, q) }
 
-// SummaryHOP answers HOP approximately on a summary graph (Alg. 5).
+// SummaryHOP answers HOP approximately on a summary graph (Alg. 5): one
+// O(|S|+|P|) BFS over the supernodes, plus one O(|V|) expansion.
 func SummaryHOP(s *Summary, q NodeID) ([]int32, error) { return queries.SummaryHOP(s, q) }
 
 // GraphPHP computes exact penalized hitting probabilities on the input
@@ -163,7 +165,8 @@ func GraphPHP(g *Graph, q NodeID, cfg PHPConfig) ([]float64, error) {
 	return queries.GraphPHP(g, q, cfg)
 }
 
-// SummaryPHP answers PHP approximately on a summary graph.
+// SummaryPHP answers PHP approximately on a summary graph: O(|S|+|P|) per
+// iteration over the supernodes, plus one O(|V|) expansion of the answer.
 func SummaryPHP(s *Summary, q NodeID, cfg PHPConfig) ([]float64, error) {
 	return queries.SummaryPHP(s, q, cfg)
 }

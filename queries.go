@@ -76,5 +76,6 @@ type QuerySession = queries.Session
 func NewQuerySession(o Oracle) QuerySession { return queries.NewSession(o) }
 
 // NewSummaryQuerySession returns a QuerySession over a summary graph using
-// the block-accelerated evaluators.
+// the block-accelerated evaluators: O(|S|+|P|) per iteration over the
+// supernodes, plus one O(|V|) expansion of each answer.
 func NewSummaryQuerySession(s *Summary) QuerySession { return queries.NewSummarySession(s) }
