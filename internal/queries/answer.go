@@ -79,20 +79,17 @@ func (a *Answer) Bytes() int64 {
 	return int64(8*len(a.scores) + len(a.hops) + 4*len(a.hops32))
 }
 
-// Scores returns the expanded |V|-entry vector in a new slice: the scores
-// of an RWR or PHP answer, or a HOP answer's distances as float64.
+// Scores returns the expanded |V|-entry score vector of an RWR or PHP
+// answer in a new slice, or nil for a HOP answer.
 func (a *Answer) Scores() []float64 {
-	out := make([]float64, len(a.of))
-	if a.scores != nil {
-		for u, s := range a.of {
-			out[u] = a.scores[s]
-		}
-	} else {
-		for u, s := range a.of {
-			out[u] = a.value(int(s))
-		}
+	if a.scores == nil {
+		return nil
 	}
-	out[a.q] = a.At(a.q)
+	out := make([]float64, len(a.of))
+	for u, s := range a.of {
+		out[u] = a.scores[s]
+	}
+	out[a.q] = a.scores[len(a.scores)-1]
 	return out
 }
 
@@ -117,8 +114,8 @@ func (a *Answer) Dists() []int32 {
 }
 
 // TopK returns the k highest-ranked nodes of the expanded answer, in the
-// order TopK gives on Scores(), without expanding it: O(|V| log k), reading
-// the node-to-supernode map instead of a |V|-entry vector.
+// order TopK gives on the expansion, without expanding it: O(|V| log k),
+// reading the node-to-supernode map instead of a |V|-entry vector.
 func (a *Answer) TopK(k int) []graph.NodeID {
 	h := newTopHeap(k, len(a.of))
 	for u, s := range a.of {

@@ -41,10 +41,9 @@ const lanes = 4
 // vectors carry a slot for it that stays +0.
 type SummarySession struct {
 	s           *summary.Summary
-	wdeg, selfW []float64 // per supernode
-	size        []int32   // member count per supernode
-	dead        []graph.NodeID
-	deadSupers  []uint32 // the supernodes of dead, ascending
+	wdeg, selfW []float64      // per supernode
+	size        []int32        // member count per supernode
+	dead        []graph.NodeID // nodes whose supernode has weighted degree 0, ascending
 	laneOf      [][lanes]uint32
 	laneStart   []int
 	laneNbr     [][lanes]uint32
@@ -72,9 +71,6 @@ func NewSummarySession(s *summary.Summary) *SummarySession {
 		})
 		ss.wdeg[a] = aw
 		ss.size[a] = int32(len(s.Members(uint32(a))))
-		if aw == 0 {
-			ss.deadSupers = append(ss.deadSupers, uint32(a))
-		}
 	}
 	for u, a := range s.SupernodeOf() {
 		if ss.wdeg[a] == 0 {
@@ -216,7 +212,7 @@ func (ss *SummarySession) qSlot(q graph.NodeID) (sq uint32, size, rank int) {
 // The mass of A is k copies of x_A summed left to right from +0 (sumCopies;
 // never k·x_A, which rounds differently for k ≥ 4), with x_q at q's rank in
 // q's supernode. The dead-end mass is the node-order sum over the dead-end
-// nodes, of which only those with a nonzero value can change it.
+// nodes.
 //
 // The stop test needs the node-order L1 sum Σ_u |next[u] − r[u]|. The pass
 // sums the estimate Σ_A m_A·|Δ_A| + |Δ_q| (m_A counts A's members other
@@ -272,17 +268,11 @@ func (ss *SummarySession) rwr(q graph.NodeID, cfg RWRConfig) (*Answer, kernelSta
 		}
 		st.iterations = iter + 1
 		dead := 0.0
-		if ss.deadHoldZero(r) {
-			if wdeg[sq] == 0 {
+		for _, u := range ss.dead {
+			if u == q {
 				dead += r[ns]
-			}
-		} else {
-			for _, u := range ss.dead {
-				if u == q {
-					dead += r[ns]
-				} else {
-					dead += r[of[u]]
-				}
+			} else {
+				dead += r[of[u]]
 			}
 		}
 		ss.inflow(in, mass)
@@ -320,19 +310,6 @@ func (ss *SummarySession) rwr(q graph.NodeID, cfg RWRConfig) (*Answer, kernelSta
 	return &Answer{of: of, q: q, scores: r}, st, nil
 }
 
-// deadHoldZero reports whether every dead-end supernode holds ±0 in r (q's
-// own value aside). Then the node-order dead-end sum is +0 plus q's value
-// when q is a dead end: a ±0 term leaves a sum that started at +0
-// unchanged.
-func (ss *SummarySession) deadHoldZero(r []float64) bool {
-	for _, a := range ss.deadSupers {
-		if r[a] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // rwrSweep is rwr's pass over the supernodes lo ≤ a < hi, none of them
 // q's: it sets r[a] to c·(in[a] − selfW_a·x[a]), in[a] to the change, and
 // x[a] and mass[a] for the next iteration, and returns Σ size_a·|change|.
@@ -350,13 +327,8 @@ func (ss *SummarySession) rwrSweep(lo, hi int, c float64, r, x, mass, in []float
 		k := size[a]
 		est += float64(k) * d
 		if w != 0 {
-			xa := v / w
-			x[a] = xa
-			if k <= 3 {
-				mass[a] = 0 + float64(k)*xa // the sum of k ≤ 3 copies rounds once
-			} else {
-				mass[a] = sumCopies(0, xa, int(k))
-			}
+			x[a] = v / w
+			mass[a] = copiesFromZero(x[a], int(k))
 		}
 	}
 	return est
@@ -445,67 +417,32 @@ func (ss *SummarySession) phpSweep(lo, hi int, C float64, p, sum, in []float64) 
 			delta = d
 		}
 		p[a] = v
-		if k := size[a]; k <= 3 {
-			sum[a] = 0 + float64(k)*v
-		} else {
-			sum[a] = sumCopies(0, v, int(k))
-		}
+		sum[a] = copiesFromZero(v, int(size[a]))
 	}
 	return delta
 }
 
 // sumCopies returns s+x+x+…+x with k copies of x, added left to right and
 // rounded after every addition: the bits of a node-order sum in which k
-// members contribute the same value. It takes O(log k) steps instead of k.
-// While a positive sum stays in one binade [2^(e−1), 2^e) it lies on the
-// grid 2^(e−53), so every addition adds the same multiple of the grid: x
-// rounded to it, or on a tie the multiple that keeps the sum even (once the
-// sum is even). A run of additions that stays below 2^e is then one
-// multiplication, and a sum of k copies crosses about log₂ k binades.
-// Operands outside that case (x ≤ 0, subnormal or huge values, NaN) are
-// added one at a time.
+// members contribute the same value. It is not k·x, which rounds once and
+// differs for k ≥ 4 (and +0 + (−0) is +0). The additions touch no memory,
+// so a supernode costs one register addition per member, not a visit.
 func sumCopies(s, x float64, k int) float64 {
-	for k > 0 {
+	for ; k > 0; k-- {
 		s += x
-		k--
-		sb, xb := math.Float64bits(s), math.Float64bits(x)
-		// Biased exponents; a set sign bit makes them 2048 or more.
-		se, xe := int(sb>>52), int(xb>>52)
-		if k < 2 || xe == 0 || se < xe || se < 54 || se > 2000 {
-			continue
-		}
-		t := int64(sb&(1<<52-1) | 1<<52)  // s = t grid steps of 2^(se−1075)
-		xm := int64(xb&(1<<52-1) | 1<<52) // x = xm/2^sh grid steps
-		sh := uint(se - xe)
-		if sh >= 54 {
-			return s // x is under half a step: every addition rounds back to s
-		}
-		a, inc := xm>>sh, xm>>sh // whole steps in x; steps per addition
-		if sh > 0 {
-			switch rem, half := xm&(1<<sh-1), int64(1)<<(sh-1); {
-			case rem > half:
-				inc++
-			case rem < half:
-			case t&1 == 1:
-				continue // a tie from an odd sum: one more addition makes it even
-			default:
-				inc += inc & 1 // a tie from an even sum adds the even one of a, a+1
-			}
-		}
-		if inc == 0 {
-			return s
-		}
-		// Addition j of the run adds x to t+(j−1)·inc steps and stays
-		// below the binade's top, 2^53 steps, while (j−1)·inc ≤ room−1.
-		room := 1<<53 - t - a
-		if room < 1 {
-			continue
-		}
-		m := min(int64(k), (room-1)/inc+1)
-		s = float64(t+m*inc) * math.Float64frombits(uint64(se-52)<<52)
-		k -= int(m)
 	}
 	return s
+}
+
+// copiesFromZero is sumCopies(0, x, k) with the loop skipped for 1 ≤ k ≤ 3,
+// where the sum rounds once: +0 + x is x (or +0), x + x is exact, and
+// 2x + x rounds like k·x. Most supernodes of a serving summary have one
+// to three members.
+func copiesFromZero(x float64, k int) float64 {
+	if 1 <= k && k <= 3 {
+		return 0 + float64(k)*x
+	}
+	return sumCopies(0, x, k)
 }
 
 // inflow sets in[a] = Σ_{B adj A} w_AB · x[B] for every supernode a, adding

@@ -12,55 +12,6 @@ import (
 	"pegasus/internal/summary"
 )
 
-// loopCopies is sumCopies the slow way: k additions.
-func loopCopies(s, x float64, k int) float64 {
-	for ; k > 0; k-- {
-		s += x
-	}
-	return s
-}
-
-// TestSumCopiesMatchesLoop: the binade-jumping sum equals k plain
-// additions bit for bit, for every k up to 600 and random larger ones, on
-// values drawn across 60 binary orders of magnitude, values with few
-// significant bits (whose additions tie between two grid points), from a
-// start of +0 and from a positive start, and on zeros, negatives,
-// subnormals and huge values, which it adds one at a time.
-func TestSumCopiesMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	values := []float64{1, 3, 0.1, 1.0 / 3, 5e-324, math.SmallestNonzeroFloat64 * 7, 0x1p-1021,
-		-0.25, 0, math.Copysign(0, -1), 0x1p1000, math.MaxFloat64 / 4, 1 / 2000.0}
-	for i := 0; i < 300; i++ {
-		x := math.Ldexp(rng.Float64(), rng.Intn(60)-40)
-		if i%3 == 0 { // 1–8 significant bits
-			x = math.Ldexp(float64(1+rng.Intn(255)), rng.Intn(40)-30)
-		}
-		values = append(values, x)
-	}
-	for i, x := range values {
-		starts := []float64{0, math.Copysign(0, -1), x * float64(1+rng.Intn(50)), math.Ldexp(rng.Float64(), rng.Intn(10))}
-		for _, s := range starts {
-			for k := 0; k <= 600; k += 1 + k/50 {
-				if got, want := sumCopies(s, x, k), loopCopies(s, x, k); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("value %d: sumCopies(%v, %v, %d) = %v, want %v", i, s, x, k, got, want)
-				}
-			}
-			k := rng.Intn(20000)
-			if got, want := sumCopies(s, x, k), loopCopies(s, x, k); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("value %d: sumCopies(%v, %v, %d) = %v, want %v", i, s, x, k, got, want)
-			}
-		}
-	}
-	// The sweeps' short form for k ≤ 3 copies from +0.
-	for _, x := range values {
-		for k := 0; k <= 3; k++ {
-			if got, want := 0+float64(k)*x, loopCopies(0, x, k); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("0 + %d·%v = %v, want %v", k, x, got, want)
-			}
-		}
-	}
-}
-
 // assertSameBits fails unless got and want hold the same float64 bits.
 func assertSameBits(t *testing.T, label string, q graph.NodeID, got, want []float64) {
 	t.Helper()
@@ -196,8 +147,8 @@ func TestRWRStopTestInRoundingWindow(t *testing.T) {
 }
 
 // TestAnswerMethods: At, TopK and Bytes of compact answers agree with
-// their expansions, and HOP answers take one byte per supernode unless a
-// finite distance reaches 255.
+// their expansions (a HOP answer's distances as float64), and HOP answers
+// take one byte per supernode unless a finite distance reaches 255.
 func TestAnswerMethods(t *testing.T) {
 	fixtures := kernelFixtures(t)
 	s := fixtures["lowratio/weighted"]
@@ -218,6 +169,9 @@ func TestAnswerMethods(t *testing.T) {
 		}
 		for _, a := range []*Answer{r, p, h} {
 			v := a.Scores()
+			if a == h {
+				v = ToFloats(h.Dists())
+			}
 			if a.Len() != len(v) {
 				t.Fatalf("Len %d, expansion of %d", a.Len(), len(v))
 			}
@@ -238,11 +192,11 @@ func TestAnswerMethods(t *testing.T) {
 		if got := h.Bytes(); got != ns+1 {
 			t.Fatalf("HOP answer holds %d B, want %d", got, ns+1)
 		}
-		if r.Dists() != nil {
-			t.Fatal("an RWR answer has distances")
+		if r.Dists() != nil || h.Scores() != nil {
+			t.Fatal("an RWR answer has distances or a HOP answer has scores")
 		}
-		if d := h.Dists(); d[q] != 0 || !slices.Equal(ToFloats(d), h.Scores()) {
-			t.Fatalf("q=%d: HOP distances %v do not match its scores", q, d)
+		if d := h.Dists(); d[q] != 0 {
+			t.Fatalf("q=%d: HOP distance to itself %d", q, d[q])
 		}
 	}
 
@@ -293,6 +247,28 @@ func TestAnswerTopKRanksTiesAndNaN(t *testing.T) {
 		for _, k := range []int{0, 1, 3, n, n + 5} {
 			if got, want := a.TopK(k), TopK(a.Scores(), k); !slices.Equal(got, want) {
 				t.Fatalf("trial %d: TopK(%d) = %v, want %v", trial, k, got, want)
+			}
+		}
+	}
+}
+
+// TestCopiesFromZero: the one-product short form for up to three copies
+// has the bits of the additions it skips, signed zeros and subnormals
+// included.
+func TestCopiesFromZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	values := []float64{0, math.Copysign(0, -1), 5e-324, 0x1p-1022, 1.0 / 3, 0.1, -0.7, math.MaxFloat64 / 2, math.Inf(1)}
+	for i := 0; i < 1000; i++ {
+		values = append(values, math.Ldexp(rng.Float64(), rng.Intn(80)-60))
+	}
+	for _, x := range values {
+		for k := 0; k <= 6; k++ {
+			want := 0.0
+			for i := 0; i < k; i++ {
+				want += x
+			}
+			if got := copiesFromZero(x, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("copiesFromZero(%v, %d) = %v, want %v", x, k, got, want)
 			}
 		}
 	}
