@@ -18,11 +18,14 @@ const lanes = 4
 // supernode granularity. The reconstructed adjacency is block-constant
 // (Alg. 4), so every member of a supernode other than the query node q
 // takes the same value in every iteration, bit for bit: the kernels keep
-// one value per supernode plus q's own, and an iteration costs one pass
-// over the |S| supernodes plus the padded lane entries of the superedge
-// lists, O(|S|+|P|), instead of O(|V|+|P|). The answers are Answers; RWR
-// and PHP expand them into the |V|-entry vectors of the Session interface
-// in one O(|V|) pass.
+// one value per supernode plus q's own. An iteration reads and writes
+// vectors of |S| entries: one pass over the supernodes and one over the
+// padded lane entries of the superedge lists, O(|S|+|P|), plus, for RWR,
+// one read per dead-end node (|D| of them). The supernode masses take one
+// register addition per node, so the operation count stays O(|V|+|P|)
+// at worst, but no |V|-entry vector is read or written inside the loop.
+// The answers are Answers; RWR and PHP expand them into the |V|-entry
+// vectors of the Session interface in one O(|V|) pass.
 //
 // The session holds the query-independent precompute: per supernode the
 // weighted degree of its members, its self-loop weight and its member
@@ -51,11 +54,13 @@ type SummarySession struct {
 }
 
 // NewSummarySession returns a session over a summary graph, running the
-// supernode-granular implementations: O(|S|+|P|) per iteration, plus one
-// O(|V|) expansion when an answer is returned as a vector. It computes the
-// weighted degrees and self-loop weights with one pass over the
-// superedges, lists the dead-end nodes (weighted degree 0), and lays the
-// superedge lists out in lanes for inflow: O(|V|+|P|), once.
+// supernode-granular implementations: per iteration O(|S|+|P|) vector
+// work, one read per dead-end node (RWR) and one register addition per
+// node, plus one O(|V|) expansion when an answer is returned as a vector
+// (see SummarySession). It computes the weighted degrees and self-loop
+// weights with one pass over the superedges, lists the dead-end nodes
+// (weighted degree 0), and lays the superedge lists out in lanes for
+// inflow: O(|V|+|P|), once.
 func NewSummarySession(s *summary.Summary) *SummarySession {
 	ns := s.NumSupernodes()
 	ss := &SummarySession{s: s, wdeg: make([]float64, ns), selfW: make([]float64, ns), size: make([]int32, ns)}
@@ -159,14 +164,14 @@ func (ss *SummarySession) PHP(q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 }
 
 // RWRAnswer answers random walk with restart w.r.t. q at supernode
-// granularity: O(|S|+|P|) per iteration.
+// granularity, without expanding the answer.
 func (ss *SummarySession) RWRAnswer(q graph.NodeID, cfg RWRConfig) (*Answer, error) {
 	a, _, err := ss.rwr(q, cfg)
 	return a, err
 }
 
 // PHPAnswer answers penalized hitting probability w.r.t. q at supernode
-// granularity: O(|S|+|P|) per iteration.
+// granularity, without expanding the answer.
 func (ss *SummarySession) PHPAnswer(q graph.NodeID, cfg PHPConfig) (*Answer, error) {
 	a, _, err := ss.php(q, cfg)
 	return a, err
@@ -328,7 +333,7 @@ func (ss *SummarySession) rwrSweep(lo, hi int, c float64, r, x, mass, in []float
 		est += float64(k) * d
 		if w != 0 {
 			x[a] = v / w
-			mass[a] = copiesFromZero(x[a], int(k))
+			mass[a] = sumCopies(0, x[a], int(k))
 		}
 	}
 	return est
@@ -379,7 +384,9 @@ func (ss *SummarySession) php(q graph.NodeID, cfg PHPConfig) (*Answer, kernelSta
 		delta := 0.0
 		if w := ss.wdeg[sq]; w != 0 && kq > 1 {
 			v := cfg.C * (in[sq] - ss.selfW[sq]*p[sq]) / w
-			delta = math.Abs(v - p[sq])
+			if d := math.Abs(v - p[sq]); d > delta {
+				delta = d
+			}
 			p[sq] = v
 			sum[sq] = sumCopies(sumCopies(0, v, rank)+1, v, kq-1-rank)
 		}
@@ -417,7 +424,7 @@ func (ss *SummarySession) phpSweep(lo, hi int, C float64, p, sum, in []float64) 
 			delta = d
 		}
 		p[a] = v
-		sum[a] = copiesFromZero(v, int(size[a]))
+		sum[a] = sumCopies(0, v, int(size[a]))
 	}
 	return delta
 }
@@ -432,17 +439,6 @@ func sumCopies(s, x float64, k int) float64 {
 		s += x
 	}
 	return s
-}
-
-// copiesFromZero is sumCopies(0, x, k) with the loop skipped for 1 ≤ k ≤ 3,
-// where the sum rounds once: +0 + x is x (or +0), x + x is exact, and
-// 2x + x rounds like k·x. Most supernodes of a serving summary have one
-// to three members.
-func copiesFromZero(x float64, k int) float64 {
-	if 1 <= k && k <= 3 {
-		return 0 + float64(k)*x
-	}
-	return sumCopies(0, x, k)
 }
 
 // inflow sets in[a] = Σ_{B adj A} w_AB · x[B] for every supernode a, adding

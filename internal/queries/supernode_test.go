@@ -146,6 +146,50 @@ func TestRWRStopTestInRoundingWindow(t *testing.T) {
 	}
 }
 
+// TestPHPSkipsNaNChanges: with a NaN self-loop weight on q's supernode,
+// its other members' PHP values are NaN from the first iteration on, and
+// the NaN spreads along the superedges. The node-level L∞ test skips a
+// NaN change, and so must the supernode kernel, on q's supernode as on
+// every other one: it stops after as many iterations as the oracle, with
+// the same answer.
+func TestPHPSkipsNaNChanges(t *testing.T) {
+	fixtures := kernelFixtures(t)
+	for _, name := range []string{"golden@3", "lowratio/weighted"} {
+		s := fixtures[name]
+		qs := middleMembers(s)
+		if len(qs) == 0 {
+			t.Fatalf("%s: no supernode of three members with a superedge", name)
+		}
+		for _, q := range qs[:min(3, len(qs))] {
+			ss := NewSummarySession(s)
+			ss.selfW[s.Supernode(q)] = math.NaN()
+			want, iters := nodePHP(ss, q, PHPConfig{})
+			if iters == (PHPConfig{}).withDefaults().MaxIter {
+				t.Fatalf("%s q=%d: the node-level kernel ran to MaxIter", name, q)
+			}
+			got, st, err := ss.php(q, PHPConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.iterations != iters {
+				t.Fatalf("%s q=%d: %d iterations, the node-level kernel took %d", name, q, st.iterations, iters)
+			}
+			nan := 0
+			for u, v := range got.Scores() {
+				if math.IsNaN(v) != math.IsNaN(want[u]) || !math.IsNaN(v) && math.Float64bits(v) != math.Float64bits(want[u]) {
+					t.Fatalf("%s q=%d: node %d = %v, want %v", name, q, u, v, want[u])
+				}
+				if math.IsNaN(v) {
+					nan++
+				}
+			}
+			if nan == 0 {
+				t.Fatalf("%s q=%d: no NaN value", name, q)
+			}
+		}
+	}
+}
+
 // TestAnswerMethods: At, TopK and Bytes of compact answers agree with
 // their expansions (a HOP answer's distances as float64), and HOP answers
 // take one byte per supernode unless a finite distance reaches 255.
@@ -247,28 +291,6 @@ func TestAnswerTopKRanksTiesAndNaN(t *testing.T) {
 		for _, k := range []int{0, 1, 3, n, n + 5} {
 			if got, want := a.TopK(k), TopK(a.Scores(), k); !slices.Equal(got, want) {
 				t.Fatalf("trial %d: TopK(%d) = %v, want %v", trial, k, got, want)
-			}
-		}
-	}
-}
-
-// TestCopiesFromZero: the one-product short form for up to three copies
-// has the bits of the additions it skips, signed zeros and subnormals
-// included.
-func TestCopiesFromZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	values := []float64{0, math.Copysign(0, -1), 5e-324, 0x1p-1022, 1.0 / 3, 0.1, -0.7, math.MaxFloat64 / 2, math.Inf(1)}
-	for i := 0; i < 1000; i++ {
-		values = append(values, math.Ldexp(rng.Float64(), rng.Intn(80)-60))
-	}
-	for _, x := range values {
-		for k := 0; k <= 6; k++ {
-			want := 0.0
-			for i := 0; i < k; i++ {
-				want += x
-			}
-			if got := copiesFromZero(x, k); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("copiesFromZero(%v, %d) = %v, want %v", x, k, got, want)
 			}
 		}
 	}
