@@ -46,11 +46,11 @@ func GraphPHP(g *graph.Graph, q graph.NodeID, cfg PHPConfig) ([]float64, error) 
 	return PHP(GraphOracle{g}, q, cfg)
 }
 
-// SummaryPHP answers PHP on a summary graph with per-iteration cost
-// O(|S|+|P|), iterating over supernodes (reconstructed adjacency is
-// block-constant, as in SummaryRWR), plus one O(|V|) expansion of the
-// answer. For many queries on one summary, a NewSummarySession shares the
-// precompute across calls.
+// SummaryPHP answers PHP on a summary graph by iterating over supernodes
+// (reconstructed adjacency is block-constant, as in SummaryRWR): O(|S|+|P|)
+// vector work and one register addition per node per iteration, plus one
+// O(|V|) expansion of the answer. For many queries on one summary, a
+// NewSummarySession shares the precompute across calls.
 func SummaryPHP(s *summary.Summary, q graph.NodeID, cfg PHPConfig) ([]float64, error) {
 	return NewSummarySession(s).PHP(q, cfg)
 }

@@ -53,9 +53,11 @@ func GraphRWR(g *graph.Graph, q graph.NodeID, cfg RWRConfig) ([]float64, error) 
 // SummaryRWR answers RWR on a summary graph without expanding reconstructed
 // neighborhoods: since the reconstructed adjacency is block-constant, every
 // member of a supernode other than q holds the same value, so the
-// iteration runs over supernodes, costing O(|S|+|P|) per iteration instead
-// of O(|Ê|), plus one O(|V|) expansion of the answer. For many queries on
-// one summary, a NewSummarySession shares the precompute across calls.
+// iteration runs over supernodes instead of expanding O(|Ê|) entries:
+// O(|S|+|P|) vector work, one read per dead-end node and one register
+// addition per node per iteration, plus one O(|V|) expansion of the
+// answer. For many queries on one summary, a NewSummarySession shares the
+// precompute across calls.
 func SummaryRWR(s *summary.Summary, q graph.NodeID, cfg RWRConfig) ([]float64, error) {
 	return NewSummarySession(s).RWR(q, cfg)
 }

@@ -146,7 +146,8 @@ func GraphRWR(g *Graph, q NodeID, cfg RWRConfig) ([]float64, error) {
 }
 
 // SummaryRWR answers RWR approximately on a summary graph (block-accelerated
-// Alg. 6): O(|S|+|P|) per iteration over the supernodes, plus one O(|V|)
+// Alg. 6): per iteration O(|S|+|P|) work over the supernodes, one read per
+// dead-end node and one register addition per node, plus one O(|V|)
 // expansion of the answer.
 func SummaryRWR(s *Summary, q NodeID, cfg RWRConfig) ([]float64, error) {
 	return queries.SummaryRWR(s, q, cfg)
@@ -165,8 +166,9 @@ func GraphPHP(g *Graph, q NodeID, cfg PHPConfig) ([]float64, error) {
 	return queries.GraphPHP(g, q, cfg)
 }
 
-// SummaryPHP answers PHP approximately on a summary graph: O(|S|+|P|) per
-// iteration over the supernodes, plus one O(|V|) expansion of the answer.
+// SummaryPHP answers PHP approximately on a summary graph: per iteration
+// O(|S|+|P|) work over the supernodes and one register addition per node,
+// plus one O(|V|) expansion of the answer.
 func SummaryPHP(s *Summary, q NodeID, cfg PHPConfig) ([]float64, error) {
 	return queries.SummaryPHP(s, q, cfg)
 }

@@ -76,6 +76,7 @@ type QuerySession = queries.Session
 func NewQuerySession(o Oracle) QuerySession { return queries.NewSession(o) }
 
 // NewSummaryQuerySession returns a QuerySession over a summary graph using
-// the block-accelerated evaluators: O(|S|+|P|) per iteration over the
-// supernodes, plus one O(|V|) expansion of each answer.
+// the block-accelerated evaluators: per iteration O(|S|+|P|) work over
+// the supernodes, one read per dead-end node (RWR) and one register
+// addition per node, plus one O(|V|) expansion of each answer.
 func NewSummaryQuerySession(s *Summary) QuerySession { return queries.NewSummarySession(s) }
