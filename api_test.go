@@ -248,6 +248,20 @@ func TestPublicAPIPartitionAndCluster(t *testing.T) {
 	}
 }
 
+// TestPublicAPIPartitionRejectsTooFewParts: every method returns an error
+// for m < 1, rather than panicking or returning labels outside [0, m).
+func TestPublicAPIPartitionRejectsTooFewParts(t *testing.T) {
+	g := pegasus.GenerateBA(50, 2, 1)
+	for _, method := range []string{pegasus.PartitionLouvain, pegasus.PartitionBLP,
+		pegasus.PartitionSHPI, pegasus.PartitionSHPII, pegasus.PartitionSHPKL, pegasus.PartitionRandom} {
+		for _, m := range []int{-1, 0} {
+			if labels, err := pegasus.PartitionGraph(g, m, method, 1); err == nil {
+				t.Errorf("%s, m=%d: %d labels and a nil error", method, m, len(labels))
+			}
+		}
+	}
+}
+
 func TestPublicAPIArtifactStore(t *testing.T) {
 	g := pegasus.GenerateSBM(200, 4, 8, 0.1, 3)
 	g, _ = pegasus.LargestComponent(g)

@@ -34,7 +34,11 @@ const (
 
 // PartitionGraph divides the nodes of g into m balanced parts using the
 // named method ("louvain", "blp", "shpi", "shpii", "shpkl" or "random").
+// It returns an error for an unknown method or for m < 1.
 func PartitionGraph(g *Graph, m int, method string, seed int64) ([]uint32, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("pegasus: partition into %d parts: need at least 1", m)
+	}
 	switch partition.Method(method) {
 	case partition.MethodLouvain, partition.MethodBLP, partition.MethodSHPI,
 		partition.MethodSHPII, partition.MethodSHPKL, partition.MethodRandom:

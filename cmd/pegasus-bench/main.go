@@ -2,40 +2,32 @@
 // across PRs. It times (a) sequential vs concurrent shard builds of a
 // 4-shard Alg. 3 cluster, (b) incremental vs full cluster rebuilds after a
 // 1-of-m-shards targets change, the content-key reuse behind hot
-// POST /v1/summarize reconfiguration, (c) cold vs warm cluster
+// POST /v1/summarize reconfiguration, and (c) cold vs warm cluster
 // starts, where the warm arm decodes every shard artifact from a populated
 // disk store (the cache dir behind pegasus-serve -cache-dir) instead of
-// summarizing, and (d) a scale section: the full real-graph serving path —
-// gzip SNAP ingest, sharded cluster build, routed RWR queries — at 10^4 and
-// 10^5 nodes (10^6 with -scale-large), which doubles as the CI enforcement
-// of the ingester's worker-count bit-identity contract. Results go to a JSON
-// file (BENCH_summarize.json by convention, committed at the repo root and
-// regenerated by CI).
+// summarizing. Results go to a JSON file (BENCH_summarize.json by
+// convention, committed at the repo root and regenerated by CI). The
+// scale-tagged smoke test covers the 10^5-node ingest → build → query
+// path: go test -tags scale -run TestScale -timeout 20m -v .
 //
 // Usage:
 //
 //	pegasus-bench -out BENCH_summarize.json
 //	pegasus-bench -nodes 5000 -shards 8 -runs 5 -workers 8
 //	pegasus-bench -min-incremental-speedup 2.0 -min-warm-speedup 3.0
-//	pegasus-bench -scale-large -scale-shards 32   # add the 10^6-node arm
 package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"pegasus"
-	"pegasus/internal/datasets"
 	"pegasus/internal/persist"
 )
 
@@ -81,58 +73,29 @@ type Report struct {
 	// pure IO+decode and the ratio is core-count independent (both arms run
 	// sequentially).
 	SpeedupWarm float64 `json:"speedup_warm"`
-	// Scale holds the real-graph-scale rows (10^4 and 10^5 nodes by default,
-	// 10^6 with -scale-large): end-to-end ingest/build/query timings on the
-	// deterministic scale-tier datasets.
-	Scale []ScaleResult `json:"scale,omitempty"`
-}
-
-// ScaleResult is one row of the scale section: the full real-graph serving
-// path (SNAP-gzip ingest → sharded cluster build → routed RWR queries) at
-// one node scale, with the memory footprint it left behind. IngestMs uses
-// all cores, IngestSeqMs one; the two runs must produce fingerprint-equal
-// graphs or the benchmark aborts — this is the CI enforcement of the
-// ingester's worker-count bit-identity contract.
-type ScaleResult struct {
-	Name        string  `json:"name"`
-	Nodes       int     `json:"nodes"`
-	Edges       int64   `json:"edges"`
-	Shards      int     `json:"shards"`
-	SnapGzBytes int     `json:"snap_gz_bytes"`
-	IngestMs    float64 `json:"ingest_ms"`
-	IngestSeqMs float64 `json:"ingest_seq_ms"`
-	BuildMs     float64 `json:"build_ms"`
-	Queries     int     `json:"queries"`
-	QPS         float64 `json:"qps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	HeapBytes   uint64  `json:"heap_bytes"` // live heap after the arm (post-GC)
-	SysBytes    uint64  `json:"sys_bytes"`  // total memory obtained from the OS
-	RSSBytes    int64   `json:"rss_bytes"`  // resident set via /proc (0 where unsupported)
-	Fingerprint string  `json:"graph_fingerprint"`
 }
 
 func main() {
 	var (
-		out         = flag.String("out", "BENCH_summarize.json", "output JSON file")
-		nodes       = flag.Int("nodes", 2000, "benchmark graph node count")
-		comms       = flag.Int("communities", 4, "benchmark graph community count")
-		shards      = flag.Int("shards", 4, "cluster benchmark shard count")
-		runs        = flag.Int("runs", 3, "timed repetitions per configuration")
-		workers     = flag.Int("workers", 0, "concurrent shard builds of the parallel cluster arm, benchmarked against one at a time (0 = GOMAXPROCS, floored at the shard count)")
-		budget      = flag.Float64("budget", 0.4, "summary budget as a fraction of Size(G)")
-		seed        = flag.Int64("seed", 1, "graph/partition/summarization seed")
-		minSpeed    = flag.Float64("min-cluster-speedup", 0, "fail unless the cluster build speedup reaches this factor; only enforced when the host has at least `shards` CPUs (0 disables)")
-		minIncr     = flag.Float64("min-incremental-speedup", 0, "fail unless an incremental 1-of-shards rebuild beats the full rebuild by this factor (0 disables; core-count independent)")
-		minWarm     = flag.Float64("min-warm-speedup", 0, "fail unless a warm start from a populated artifact cache beats the cold build by this factor (0 disables; core-count independent)")
-		cacheDir    = flag.String("cache-dir", "", "artifact cache directory for the warm-start arms (empty uses a temp dir; pass a path to keep/upload the populated cache)")
-		scaleOn     = flag.Bool("scale", true, "run the real-graph-scale section: SNAP ingest + sharded build + routed queries at 10^4 and 10^5 nodes")
-		scaleLarge  = flag.Bool("scale-large", false, "add the 10^6-node arm to the scale section (off by default so the committed report stays cheap to regenerate)")
-		scaleShards = flag.Int("scale-shards", 2, "cluster shard count for the scale section. Alg. 3 summarizes the whole graph once per shard, so total build work grows with the shard count — the arms only get cheaper with shards when cores are plentiful")
-		scaleQ      = flag.Int("scale-queries", 100, "routed RWR queries per scale arm (QPS/p50/p99 sample size)")
-		scaleBudget = flag.Float64("scale-budget", 0.7, "summary budget fraction for the scale arms (milder than the main -budget: merge depth dominates build time at 10^5+ nodes)")
+		out      = flag.String("out", "BENCH_summarize.json", "output JSON file")
+		nodes    = flag.Int("nodes", 2000, "benchmark graph node count")
+		comms    = flag.Int("communities", 4, "benchmark graph community count")
+		shards   = flag.Int("shards", 4, "cluster benchmark shard count")
+		runs     = flag.Int("runs", 3, "timed repetitions per configuration")
+		workers  = flag.Int("workers", 0, "concurrent shard builds of the parallel cluster arm, benchmarked against one at a time (0 = GOMAXPROCS, floored at the shard count)")
+		budget   = flag.Float64("budget", 0.4, "summary budget as a fraction of Size(G)")
+		seed     = flag.Int64("seed", 1, "graph/partition/summarization seed")
+		minSpeed = flag.Float64("min-cluster-speedup", 0, "fail unless the cluster build speedup reaches this factor; only enforced when the host has at least `shards` CPUs (0 disables)")
+		minIncr  = flag.Float64("min-incremental-speedup", 0, "fail unless an incremental 1-of-shards rebuild beats the full rebuild by this factor (0 disables; core-count independent)")
+		minWarm  = flag.Float64("min-warm-speedup", 0, "fail unless a warm start from a populated artifact cache beats the cold build by this factor (0 disables; core-count independent)")
+		cacheDir = flag.String("cache-dir", "", "artifact cache directory for the warm-start arms (empty uses a temp dir; pass a path to keep/upload the populated cache)")
 	)
 	flag.Parse()
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "pegasus-bench: -runs must be at least 1, got %d\n", *runs)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// The parallel arm builds every shard at once, and never builds one at
 	// a time even on a 1-CPU host, so the two arms never silently collapse
@@ -341,31 +304,6 @@ func main() {
 		}
 	}
 
-	// Scale section: the paper's scalability story (§V-E, Fig. 12 is linear
-	// in |E|) replayed end to end on the offline fallback tier. Each arm
-	// round-trips the graph through the gzip SNAP interchange so the timings
-	// cover exactly the path a real downloaded snapshot takes.
-	if *scaleOn {
-		arms := []struct {
-			name  string
-			code  string
-			scale float64
-		}{
-			{"scale_10k", "S5", 0.1},
-			{"scale_100k", "S5", 1},
-		}
-		if *scaleLarge {
-			arms = append(arms, struct {
-				name  string
-				code  string
-				scale float64
-			}{"scale_1m", "S6", 1})
-		}
-		for _, a := range arms {
-			rep.Scale = append(rep.Scale, runScaleArm(a.name, a.code, a.scale, *scaleShards, *scaleQ, *scaleBudget, *seed))
-		}
-	}
-
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal("marshal: %v", err)
@@ -397,113 +335,6 @@ func main() {
 	}
 }
 
-// runScaleArm measures one scale row end to end: generate the scale-tier
-// graph, round-trip it through gzip SNAP, ingest (all cores, then one),
-// enforce fingerprint equality across the two, build a sharded cluster from
-// the ingested copy, and answer routed RWR queries. One run per stage — at
-// 10^5+ nodes a stage is seconds long, far above timer noise.
-func runScaleArm(name, code string, scale float64, shards, queries int, budget float64, seed int64) ScaleResult {
-	if queries < 1 {
-		fatal("-scale-queries must be >= 1, got %d", queries)
-	}
-	fmt.Fprintf(os.Stderr, "benchmarking %-24s (shards=%d, %d queries)...\n", name, shards, queries)
-	d, err := datasets.ByShort(code)
-	if err != nil {
-		fatal("%s: %v", name, err)
-	}
-	// Generate (not Load): the dataset cache would pin the 10^6-node graph
-	// in memory past the arm and poison the RSS measurement.
-	src := d.Generate(scale)
-	wantFP := pegasus.GraphFingerprint(src)
-
-	var enc bytes.Buffer
-	zw := gzip.NewWriter(&enc)
-	if err := pegasus.WriteSNAP(zw, src); err != nil {
-		fatal("%s: encode SNAP: %v", name, err)
-	}
-	if err := zw.Close(); err != nil {
-		fatal("%s: gzip close: %v", name, err)
-	}
-	src = nil // everything below runs on the ingested copy
-
-	r := ScaleResult{Name: name, Shards: shards, Queries: queries,
-		SnapGzBytes: enc.Len(), Fingerprint: wantFP}
-
-	start := time.Now()
-	res, err := pegasus.IngestEdgeListBytes(enc.Bytes(), pegasus.IngestOptions{})
-	if err != nil {
-		fatal("%s: ingest: %v", name, err)
-	}
-	r.IngestMs = durMs(time.Since(start))
-
-	start = time.Now()
-	seq, err := pegasus.IngestEdgeListBytes(enc.Bytes(), pegasus.IngestOptions{Workers: 1})
-	if err != nil {
-		fatal("%s: sequential ingest: %v", name, err)
-	}
-	r.IngestSeqMs = durMs(time.Since(start))
-	enc = bytes.Buffer{}
-
-	// The two determinism gates CI enforces on every run: the ingested graph
-	// must reproduce the source exactly (SNAP round-trip), and the parallel
-	// and sequential ingests must agree bit for bit.
-	if fp := pegasus.GraphFingerprint(res.Graph); fp != wantFP {
-		fatal("%s: ingested fingerprint %s != source %s — SNAP round-trip broken", name, fp, wantFP)
-	}
-	if fp := pegasus.GraphFingerprint(seq.Graph); fp != wantFP || seq.Stats != res.Stats {
-		fatal("%s: parallel and sequential ingests disagree — worker-count bit-identity broken", name)
-	}
-	seq = nil
-
-	g := res.Graph
-	r.Nodes = g.NumNodes()
-	r.Edges = g.NumEdges()
-
-	labels, err := pegasus.PartitionGraph(g, shards, pegasus.PartitionRandom, seed)
-	if err != nil {
-		fatal("%s: partition: %v", name, err)
-	}
-	budgetBits := budget * g.SizeBits()
-	start = time.Now()
-	c, err := pegasus.BuildSummaryClusterCtx(context.Background(), g, labels, shards, budgetBits,
-		pegasus.Config{Seed: seed}, runtime.GOMAXPROCS(0))
-	if err != nil {
-		fatal("%s: cluster build: %v", name, err)
-	}
-	r.BuildMs = durMs(time.Since(start))
-
-	// Routed queries with a fixed iteration count: deterministic per-query
-	// work, so QPS/p50/p99 measure the serving path, not convergence
-	// variance.
-	qcfg := pegasus.RWRConfig{Eps: 1e-300, MaxIter: 6}
-	lat := make([]time.Duration, queries)
-	qstart := time.Now()
-	for i := range lat {
-		q := pegasus.NodeID((i * 9973) % g.NumNodes())
-		t0 := time.Now()
-		if _, err := c.RWR(q, qcfg); err != nil {
-			fatal("%s: query %d: %v", name, i, err)
-		}
-		lat[i] = time.Since(t0)
-	}
-	r.QPS = float64(queries) / time.Since(qstart).Seconds()
-	slices.Sort(lat)
-	r.P50Ms = durMs(lat[queries/2])
-	r.P99Ms = durMs(lat[queries*99/100])
-
-	runtime.GC()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	r.HeapBytes = mem.HeapAlloc
-	r.SysBytes = mem.Sys
-	r.RSSBytes = rssBytes()
-	fmt.Fprintf(os.Stderr, "  %s: |V|=%d |E|=%d ingest %.0fms (seq %.0fms) build %.0fms qps %.0f p99 %.2fms rss %dMiB\n",
-		name, r.Nodes, r.Edges, r.IngestMs, r.IngestSeqMs, r.BuildMs, r.QPS, r.P99Ms, r.RSSBytes>>20)
-	return r
-}
-
-func durMs(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
 // artifactBytes encodes shard i's summary as the artifact codec stores it,
 // the byte-identity yardstick of the correctness anchors.
 func artifactBytes(c *pegasus.Cluster, i int) []byte {
@@ -512,24 +343,6 @@ func artifactBytes(c *pegasus.Cluster, i int) []byte {
 		fatal("encode shard %d: %v", i, err)
 	}
 	return raw
-}
-
-// rssBytes reads the resident set size from /proc/self/statm; 0 where /proc
-// is unavailable (the field is informational, never gated on).
-func rssBytes() int64 {
-	data, err := os.ReadFile("/proc/self/statm")
-	if err != nil {
-		return 0
-	}
-	fields := strings.Fields(string(data))
-	if len(fields) < 2 {
-		return 0
-	}
-	pages, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return pages * int64(os.Getpagesize())
 }
 
 // cleanup, when set, runs before a fatal exit (os.Exit skips defers).

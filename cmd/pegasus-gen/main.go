@@ -13,7 +13,7 @@
 // -ingest serving flag consume; an -out path ending in .gz is
 // gzip-compressed. The scale-tier datasets (-model scale100k / scale1m)
 // reproduce the deterministic large-graph fallbacks used by the
-// pegasus-bench scale section.
+// scale-tagged smoke test (go test -tags scale -run TestScale .).
 package main
 
 import (

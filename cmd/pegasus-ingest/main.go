@@ -2,8 +2,8 @@
 // gzip-compressed, with comments, duplicate edges, self-loops and sparse
 // node IDs — through the parallel streaming ingester and writes the
 // resulting CSR graph in one of the engine's formats. It is the offline
-// preprocessing step for serving real graphs: run it once, then point
-// pegasus-serve / pegasus-bench at the output.
+// preprocessing step for serving real graphs: run it once with
+// -format edgelist, then point pegasus-serve -graph at the output.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //
 // The ingester is bit-identical for every -workers value; -verify re-ingests
 // sequentially and fails if the parallel result differs (the same invariant
-// CI enforces in the pegasus-bench scale section).
+// the scale-tagged smoke test checks at 10^5 nodes).
 package main
 
 import (

@@ -35,6 +35,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *m < 1 {
+		fmt.Fprintf(os.Stderr, "pegasus-partition: -m must be at least 1, got %d\n", *m)
+		flag.Usage()
+		os.Exit(2)
+	}
 	g, err := pegasus.LoadGraph(*in)
 	if err != nil {
 		fatal("load graph: %v", err)

@@ -107,11 +107,11 @@ func Real() []*Dataset {
 }
 
 // ScaleTier lists the deterministic large-scale synthetic fallbacks used by
-// the ingestion/scale harness (pegasus-bench's scale section and the tagged
-// scale smoke test). Offline CI cannot download the SNAP graphs the paper's
-// scalability experiment uses, so heavy-tailed Barabási–Albert graphs at
-// 10^5 and 10^6 nodes stand in. Deliberately not part of Registry(): the
-// Table II experiment sweeps must not pick these up.
+// the scale-tagged smoke test (scale_smoke_test.go). Offline CI cannot
+// download the SNAP graphs the paper's scalability experiment uses, so
+// heavy-tailed Barabási–Albert graphs at 10^5 and 10^6 nodes stand in.
+// Deliberately not part of Registry(): the Table II experiment sweeps must
+// not pick these up.
 func ScaleTier() []*Dataset {
 	return []*Dataset{
 		{

@@ -34,10 +34,10 @@ func TestScaleTierShape(t *testing.T) {
 
 // TestScaleTierGoldenFingerprint pins the 10^5-node fallback graph down to
 // its exact edge structure: any drift in the BA generator, the graph
-// builder, or the seed silently invalidates every committed scale benchmark,
-// so drift must be a loud, deliberate change (regenerate the constant with
-// distributed.GraphToken and update BENCH_summarize.json together). The
-// 10^6-node S6 pin lives in the scale-tagged smoke test.
+// builder, or the seed silently changes the graph behind every recorded
+// scale measurement (EXPERIMENTS.md "Scale"), so drift must be a loud,
+// deliberate change (regenerate the constant with distributed.GraphToken).
+// The 10^6-node S6 pin lives in the scale-tagged smoke test.
 func TestScaleTierGoldenFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 10^5-node graph")

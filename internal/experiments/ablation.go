@@ -16,18 +16,56 @@ import (
 // when their connectivity disagrees, inflating the personalized error and
 // degrading query accuracy.
 func AblationCost(sc Scale) (*Table, error) {
+	return ablation(sc, "Ablation — relative (Eq. 11) vs absolute (Eq. 10) cost reduction, ratio 0.5", "Cost", 31,
+		func(cfg *core.Config, variant string) {
+			if variant == "absolute" {
+				cfg.CostMode = core.AbsoluteCost
+			}
+		}, "relative", "absolute")
+}
+
+// AblationThreshold isolates the adaptive-thresholding contribution
+// (§III-E/G): PeGaSus with its adaptive θ against the same engine with
+// SSumM's fixed schedule θ(t) = (1+t)^{-1}, everything else equal
+// (personalized weights, relative cost, shingle groups).
+func AblationThreshold(sc Scale) (*Table, error) {
+	return ablation(sc, "Ablation — adaptive thresholding (PeGaSus) vs fixed schedule (SSumM), ratio 0.5", "Threshold", 37,
+		func(cfg *core.Config, variant string) {
+			if variant == "fixed" {
+				cfg.Threshold = core.FixedSchedule{TMax: 20}
+			}
+		}, "adaptive", "fixed")
+}
+
+// AblationGrouping isolates the shingle candidate generation (§III-C):
+// connectivity-aware groups against uniformly random groups of the same
+// size.
+func AblationGrouping(sc Scale) (*Table, error) {
+	return ablation(sc, "Ablation — shingle candidate groups vs random groups, ratio 0.5", "Grouping", 37,
+		func(cfg *core.Config, variant string) {
+			if variant == "random" {
+				cfg.RandomGroups = true
+			}
+		}, "shingle", "random")
+}
+
+// ablation tabulates, per dataset and variant, the personalized error and
+// RWR accuracy of a PeGaSus summary at ratio 0.5, where set adjusts the
+// engine config for the named variant and column heads the variant column.
+// The query sample of each dataset, which is also the summary's target set,
+// is drawn with seed sc.Seed+seedOffset.
+func ablation(sc Scale, title, column string, seedOffset int64, set func(*core.Config, string), variants ...string) (*Table, error) {
 	t := &Table{
-		Title:  "Ablation — relative (Eq. 11) vs absolute (Eq. 10) cost reduction, ratio 0.5",
-		Header: []string{"Dataset", "Cost", "PersonalizedError", "SMAPE(RWR)", "Spearman(RWR)"},
+		Title:  title,
+		Header: []string{"Dataset", column, "PersonalizedError", "SMAPE(RWR)", "Spearman(RWR)"},
 	}
-	const ratio = 0.5
 	kinds := []QueryKind{QRWR}
 	for _, d := range datasets.Real() {
 		if !sc.wantsDataset(d.Short) {
 			continue
 		}
 		g := d.Load(sc.Graph)
-		qs := graph.SampleNodes(g, sc.Queries, sc.Seed+31)
+		qs := graph.SampleNodes(g, sc.Queries, sc.Seed+seedOffset)
 		truth, err := computeTruth(g, qs, kinds, sc)
 		if err != nil {
 			return nil, err
@@ -36,13 +74,10 @@ func AblationCost(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range []struct {
-			name string
-			cm   core.CostMode
-		}{{"relative", core.RelativeCost}, {"absolute", core.AbsoluteCost}} {
-			res, err := core.Summarize(g, core.Config{
-				Targets: qs, BudgetRatio: ratio, Seed: sc.Seed, CostMode: mode.cm,
-			})
+		for _, name := range variants {
+			cfg := core.Config{Targets: qs, BudgetRatio: 0.5, Seed: sc.Seed}
+			set(&cfg, name)
+			res, err := core.Summarize(g, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -51,7 +86,7 @@ func AblationCost(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Append(d.Short, mode.name, pe, sm, sp)
+			t.Append(d.Short, name, pe, sm, sp)
 		}
 	}
 	return t, nil

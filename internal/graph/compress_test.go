@@ -44,17 +44,17 @@ func TestCompressedSmallerThanBinary(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	var comp, bin bytes.Buffer
+	var comp bytes.Buffer
 	if err := WriteCompressed(&comp, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&bin, g); err != nil {
-		t.Fatal(err)
+	// The CSR arrays themselves: int64 offsets for |V|+1 nodes and two
+	// 4-byte adjacency entries per undirected edge.
+	csr := 8*(g.NumNodes()+1) + 8*int(g.NumEdges())
+	if comp.Len() >= csr {
+		t.Fatalf("compressed %d bytes not smaller than the CSR arrays' %d", comp.Len(), csr)
 	}
-	if comp.Len() >= bin.Len() {
-		t.Fatalf("compressed %d bytes not smaller than binary %d", comp.Len(), bin.Len())
-	}
-	t.Logf("compressed %d vs binary %d bytes (%.1fx)", comp.Len(), bin.Len(), float64(bin.Len())/float64(comp.Len()))
+	t.Logf("compressed %d vs CSR %d bytes (%.1fx)", comp.Len(), csr, float64(csr)/float64(comp.Len()))
 }
 
 func TestCompressedRejectsGarbage(t *testing.T) {

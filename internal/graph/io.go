@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -87,61 +86,4 @@ func SaveEdgeListFile(path string, g *Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-var binaryMagic = [4]byte{'P', 'G', 'S', '1'}
-
-// WriteBinary serializes the graph in a compact little-endian binary format
-// (magic, node count, edge count, then the CSR arrays). It is ~4x smaller
-// and much faster to load than the text format for large graphs.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	hdr := [2]uint64{uint64(g.NumNodes()), uint64(len(g.adj))}
-	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var hdr [2]uint64
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, err
-	}
-	n, m2 := int(hdr[0]), int(hdr[1])
-	if n < 0 || m2 < 0 {
-		return nil, fmt.Errorf("graph: corrupt header")
-	}
-	g := &Graph{
-		offsets: make([]int64, n+1),
-		adj:     make([]NodeID, m2),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.offsets); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.adj); err != nil {
-		return nil, err
-	}
-	if g.offsets[n] != int64(m2) {
-		return nil, fmt.Errorf("graph: corrupt offsets")
-	}
-	return g, nil
 }

@@ -69,41 +69,3 @@ func TestEdgeListFileRoundTrip(t *testing.T) {
 		t.Fatalf("file round trip changed edges: %d -> %d", g.NumEdges(), g2.NumEdges())
 	}
 }
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if err := g2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("binary round trip changed graph")
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		a, b := g.Neighbors(NodeID(u)), g2.Neighbors(NodeID(u))
-		if len(a) != len(b) {
-			t.Fatalf("node %d adjacency changed", u)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("node %d adjacency changed", u)
-			}
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE----------"))); err == nil {
-		t.Error("want error for bad magic")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("want error for empty input")
-	}
-}

@@ -36,13 +36,12 @@ func FuzzParseEdgeList(f *testing.F) {
 			t.Fatalf("parsed graph invalid: %v", err)
 		}
 
-		b1 := fuzzGraphBytes(t, r1)
 		for _, w := range []int{3, 8} {
 			rw, err := ParseBytes(data, Options{Workers: w, MaxBytes: 1 << 20})
 			if err != nil {
 				t.Fatalf("workers=%d failed where workers=1 succeeded: %v", w, err)
 			}
-			if !bytes.Equal(fuzzGraphBytes(t, rw), b1) {
+			if !sameGraph(t, rw.Graph, r1.Graph) {
 				t.Fatalf("workers=%d graph differs from workers=1", w)
 			}
 			if rw.Stats != r1.Stats {
@@ -62,13 +61,8 @@ func FuzzParseEdgeList(f *testing.F) {
 		if r2.Stats.Remapped {
 			t.Fatal("re-parse of dense encoding required remapping")
 		}
-		if !bytes.Equal(fuzzGraphBytes(t, r2), b1) {
+		if !sameGraph(t, r2.Graph, r1.Graph) {
 			t.Fatal("Parse(WriteSNAP(G)) != G")
 		}
 	})
-}
-
-func fuzzGraphBytes(t *testing.T, r *Result) []byte {
-	t.Helper()
-	return graphBytes(t, r.Graph)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,15 +20,15 @@ func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// graphBytes returns the canonical binary serialization of g — the
+// sameGraph reports whether got is a valid graph with want's node count
+// and edge list, which for valid graphs means identical CSR arrays — the
 // bit-identity yardstick used throughout this suite.
-func graphBytes(t *testing.T, g *graph.Graph) []byte {
+func sameGraph(t *testing.T, got, want *graph.Graph) bool {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
+	if err := got.Validate(); err != nil {
+		t.Fatalf("invalid CSR: %v", err)
 	}
-	return buf.Bytes()
+	return got.NumNodes() == want.NumNodes() && slices.Equal(got.EdgeList(), want.EdgeList())
 }
 
 func TestParseBasic(t *testing.T) {
@@ -120,7 +121,7 @@ func TestParseGzip(t *testing.T) {
 	if !rz.Stats.Gzip || rp.Stats.Gzip {
 		t.Fatalf("Gzip flags: compressed=%v plain=%v", rz.Stats.Gzip, rp.Stats.Gzip)
 	}
-	if !bytes.Equal(graphBytes(t, rz.Graph), graphBytes(t, rp.Graph)) {
+	if !sameGraph(t, rz.Graph, rp.Graph) {
 		t.Fatal("gzip and plain inputs produced different graphs")
 	}
 }
@@ -205,7 +206,7 @@ func TestParsedMatchesBuilder(t *testing.T) {
 			b.AddEdge(u, v)
 			return true
 		})
-		want := graphBytes(t, b.Build())
+		want := b.Build()
 
 		// Messy rendering: shuffled order, random orientation, duplicate
 		// lines, self-loops, comments, CRLF, mixed separators.
@@ -245,7 +246,7 @@ func TestParsedMatchesBuilder(t *testing.T) {
 			if err := res.Graph.Validate(); err != nil {
 				t.Fatalf("seed %d workers %d: invalid CSR: %v", seed, w, err)
 			}
-			if got := graphBytes(t, res.Graph); !bytes.Equal(got, want) {
+			if !sameGraph(t, res.Graph, want) {
 				t.Fatalf("seed %d workers %d: ingested CSR differs from graph.Builder reference", seed, w)
 			}
 			if first == nil {
@@ -266,13 +267,12 @@ func TestParallelMergeRace(t *testing.T) {
 	if err := WriteSNAP(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	want := graphBytes(t, g)
 	for _, w := range []int{2, 4, 8, 16} {
 		res, err := ParseBytes(buf.Bytes(), Options{Workers: w})
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
-		if !bytes.Equal(graphBytes(t, res.Graph), want) {
+		if !sameGraph(t, res.Graph, g) {
 			t.Fatalf("workers %d: merge produced a different graph", w)
 		}
 	}
@@ -291,7 +291,7 @@ func TestSNAPRoundTrip(t *testing.T) {
 	if res.Stats.Remapped {
 		t.Fatal("round-trip of dense graph required remapping")
 	}
-	if !bytes.Equal(graphBytes(t, res.Graph), graphBytes(t, g)) {
+	if !sameGraph(t, res.Graph, g) {
 		t.Fatal("Parse(WriteSNAP(g)) != g")
 	}
 	if res.Stats.Edges != g.NumEdges() || res.Stats.Nodes != g.NumNodes() {
@@ -325,7 +325,7 @@ func TestParseFileGzipOnDisk(t *testing.T) {
 	if !res.Stats.Gzip {
 		t.Fatal("gzip not detected")
 	}
-	if !bytes.Equal(graphBytes(t, res.Graph), graphBytes(t, g)) {
+	if !sameGraph(t, res.Graph, g) {
 		t.Fatal("ParseFile(gzip) != original graph")
 	}
 }

@@ -59,7 +59,7 @@ func LoadGraph(path string) (*Graph, error) { return graph.LoadEdgeListFile(path
 func SaveGraph(path string, g *Graph) error { return graph.SaveEdgeListFile(path, g) }
 
 // WriteGraphCompressed serializes a graph with delta+varint coded adjacency
-// (typically 3-6x smaller than fixed-width binary).
+// (typically 3-6x smaller than the in-memory CSR arrays).
 func WriteGraphCompressed(w io.Writer, g *Graph) error { return graph.WriteCompressed(w, g) }
 
 // ReadGraphCompressed deserializes a graph written by WriteGraphCompressed.
