@@ -86,9 +86,6 @@ func TestPublicAPISummaryRoundTrip(t *testing.T) {
 	if s2.NumSuperedges() != res.Summary.NumSuperedges() || !slices.Equal(s2.SupernodeOf(), res.Summary.SupernodeOf()) {
 		t.Fatal("summary round trip changed the summary")
 	}
-	if _, err := pegasus.LoadSummary(save("g.bin", pegasus.Artifact{Subgraph: g})); err == nil {
-		t.Fatal("LoadSummary accepted a subgraph artifact")
-	}
 	// A file in the earlier PGSS summary format (magic, then |V|, |S| and
 	// |P| as 8-byte words: here an empty summary) is refused as corrupt.
 	pgss := filepath.Join(dir, "pgss.bin")
@@ -171,21 +168,6 @@ func TestPublicAPIGenerators(t *testing.T) {
 	b.AddEdge(1, 2)
 	if g := b.Build(); g.NumEdges() != 2 {
 		t.Fatal("builder wrong edge count")
-	}
-}
-
-func TestPublicAPICompressedGraphIO(t *testing.T) {
-	g := pegasus.GenerateBA(400, 3, 6)
-	var buf bytes.Buffer
-	if err := pegasus.WriteGraphCompressed(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := pegasus.ReadGraphCompressed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatal("compressed round trip changed graph")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pegasus/internal/core"
 	"pegasus/internal/distributed"
 	"pegasus/internal/partition"
 )
@@ -109,19 +108,13 @@ type ClusterBuildOptions struct {
 // opts.Prev and transplants the rest, returning per-shard build stats. With
 // a nil Prev it degenerates to a full build that additionally records the
 // content keys enabling future reuse.
-//
-// Configurations carrying a custom Threshold policy cannot be fingerprinted
-// (core.Config.ContentKey); they build every shard and record no keys.
 func BuildSummaryClusterIncremental(ctx context.Context, g *Graph, labels []uint32, m int, budgetBits float64, cfg Config, opts ClusterBuildOptions) (*Cluster, ClusterBuildStats, error) {
-	key, _ := core.Config(cfg).ContentKey() // "" (no reuse) on unkeyable configs
-	return distributed.BuildSummaryClusterCtx(ctx, g, labels, m, budgetBits,
-		distributed.PegasusSummarizer(core.Config(cfg)), distributed.BuildOpts{
-			Workers:   opts.Workers,
-			Targets:   opts.Targets,
-			ConfigKey: key,
-			Prev:      opts.Prev,
-			Store:     opts.Store,
-		})
+	return distributed.BuildSummaryClusterCtx(ctx, g, labels, m, budgetBits, cfg, distributed.BuildOpts{
+		Workers: opts.Workers,
+		Targets: opts.Targets,
+		Prev:    opts.Prev,
+		Store:   opts.Store,
+	})
 }
 
 // BuildSubgraphCluster builds the graph-partitioning alternative of §IV:

@@ -1,14 +1,16 @@
 // Command pegasus-ingest loads a real-world SNAP edge list — plain or
 // gzip-compressed, with comments, duplicate edges, self-loops and sparse
 // node IDs — through the parallel streaming ingester and writes the
-// resulting CSR graph in one of the engine's formats. It is the offline
-// preprocessing step for serving real graphs: run it once with
-// -format edgelist, then point pegasus-serve -graph at the output.
+// resulting graph as a clean edge list (the default -format edgelist, which
+// pegasus -in, pegasus-query -graph, pegasus-partition -in and
+// pegasus-serve -graph read) or as a SNAP file with a comment header. It is
+// the offline preprocessing step for serving real graphs: run it once, then
+// point pegasus-serve -graph at the output.
 //
 // Usage:
 //
-//	pegasus-ingest -in web-Stanford.txt.gz -out web-stanford.pgc
-//	pegasus-ingest -in edges.txt -format edgelist -out clean.txt
+//	pegasus-ingest -in web-Stanford.txt.gz -out web-stanford.txt
+//	pegasus-ingest -in edges.txt -format snap -out clean.snap
 //	pegasus-ingest -in edges.txt.gz -verify -stats
 //
 // The ingester is bit-identical for every -workers value; -verify re-ingests
@@ -30,7 +32,7 @@ func main() {
 	var (
 		in      = flag.String("in", "", "input edge list (plain or .gz; '#'/'%' comments; required)")
 		out     = flag.String("out", "", "output graph file (empty: parse and report only)")
-		format  = flag.String("format", "compressed", "output format: compressed (delta+varint CSR) | edgelist | snap")
+		format  = flag.String("format", "edgelist", "output format: edgelist | snap")
 		workers = flag.Int("workers", 0, "parse/merge goroutines (0 = GOMAXPROCS; result is identical for any value)")
 		maxMB   = flag.Int64("max-mb", 0, "cap the (decompressed) input size in MiB (0 = unlimited)")
 		verify  = flag.Bool("verify", false, "re-ingest sequentially and fail unless the parallel result is bit-identical")
@@ -39,6 +41,11 @@ func main() {
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "pegasus-ingest: -in is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *format != "edgelist" && *format != "snap" {
+		fmt.Fprintf(os.Stderr, "pegasus-ingest: unknown -format %q (want edgelist | snap)\n", *format)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -78,33 +85,27 @@ func main() {
 	if *out == "" {
 		return
 	}
-	if *format == "edgelist" {
-		if err := pegasus.SaveGraph(*out, res.Graph); err != nil {
-			fatal("write %s: %v", *out, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *out, *format)
-		return
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal("%v", err)
-	}
-	switch *format {
-	case "compressed":
-		err = pegasus.WriteGraphCompressed(f, res.Graph)
-	case "snap":
-		err = pegasus.WriteSNAP(f, res.Graph)
-	default:
-		fatal("unknown -format %q (want compressed | edgelist | snap)", *format)
-	}
-	if err != nil {
-		f.Close()
+	if err := write(*out, *format, res.Graph); err != nil {
 		fatal("write %s: %v", *out, err)
 	}
-	if err := f.Close(); err != nil {
-		fatal("close %s: %v", *out, err)
-	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *out, *format)
+}
+
+// write saves g to path as an edge list or, for format "snap", as a SNAP
+// file.
+func write(path, format string, g *pegasus.Graph) error {
+	if format == "edgelist" {
+		return pegasus.SaveGraph(path, g)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pegasus.WriteSNAP(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(format string, args ...any) {

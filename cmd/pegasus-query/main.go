@@ -48,26 +48,9 @@ func main() {
 	if err != nil {
 		fatal("load graph: %v", err)
 	}
-	q := pegasus.NodeID(*node)
-	var exact []float64
-	switch *qtype {
-	case "rwr":
-		exact, err = pegasus.GraphRWR(g, q, pegasus.RWRConfig{})
-	case "hop":
-		var d []int32
-		d, err = pegasus.GraphHOP(g, q)
-		if err == nil {
-			exact = toFloats(pegasus.FillUnreached(d, int32(g.NumNodes())))
-		}
-	case "php":
-		exact, err = pegasus.GraphPHP(g, q, pegasus.PHPConfig{})
+	if err := compare(os.Stdout, g, *qtype, pegasus.NodeID(*node), approx); err != nil {
+		fatal("%v", err)
 	}
-	if err != nil {
-		fatal("exact query: %v", err)
-	}
-	sm, _ := pegasus.SMAPE(exact, approx)
-	sc, _ := pegasus.Spearman(exact, approx)
-	fmt.Printf("accuracy vs exact: SMAPE=%.4f Spearman=%.4f\n", sm, sc)
 }
 
 // answer runs one query of type qtype for node on s and writes the
@@ -104,6 +87,44 @@ func answer(w io.Writer, s *pegasus.Summary, qtype string, node uint64, top int)
 	}
 	printTop(w, qtype+" (approximate)", approx, top)
 	return approx, nil
+}
+
+// compare answers the query of type qtype for q exactly on g and writes the
+// SMAPE and Spearman correlation of approx, the summary's answer, against
+// it. g must be the graph the summary was built from: a graph with another
+// node count is refused before any query runs.
+func compare(w io.Writer, g *pegasus.Graph, qtype string, q pegasus.NodeID, approx []float64) error {
+	if g.NumNodes() != len(approx) {
+		return fmt.Errorf("graph has %d nodes but the summary has %d; pass the graph the summary was built from "+
+			"(pegasus -lcc, the default, summarizes the largest connected component only)", g.NumNodes(), len(approx))
+	}
+	var exact []float64
+	var err error
+	switch qtype {
+	case "rwr":
+		exact, err = pegasus.GraphRWR(g, q, pegasus.RWRConfig{})
+	case "hop":
+		var d []int32
+		d, err = pegasus.GraphHOP(g, q)
+		if err == nil {
+			exact = toFloats(pegasus.FillUnreached(d, int32(g.NumNodes())))
+		}
+	case "php":
+		exact, err = pegasus.GraphPHP(g, q, pegasus.PHPConfig{})
+	}
+	if err != nil {
+		return fmt.Errorf("exact query: %w", err)
+	}
+	sm, err := pegasus.SMAPE(exact, approx)
+	if err != nil {
+		return err
+	}
+	sc, err := pegasus.Spearman(exact, approx)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "accuracy vs exact: SMAPE=%.4f Spearman=%.4f\n", sm, sc)
+	return nil
 }
 
 func printTop(w io.Writer, label string, scores []float64, k int) {

@@ -49,3 +49,27 @@ func TestAnswerNodeOutOfRange(t *testing.T) {
 		t.Fatalf("neighbors output = %q", out.String())
 	}
 }
+
+// TestCompareRefusesOtherGraph: an accuracy check against a graph whose
+// node count differs from the summary's fails naming both counts, and one
+// against the summarized graph itself scores the exact summary perfectly.
+func TestCompareRefusesOtherGraph(t *testing.T) {
+	g := pegasus.GenerateBA(50, 2, 1)
+	s := pegasus.IdentitySummary(g)
+	approx, err := answer(io.Discard, s, "rwr", 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := pegasus.GenerateBA(70, 2, 1)
+	err = compare(io.Discard, other, "rwr", 3, approx)
+	if err == nil || !strings.HasPrefix(err.Error(), "graph has 70 nodes but the summary has 50;") {
+		t.Fatalf("mismatched graph: err = %v", err)
+	}
+	var out bytes.Buffer
+	if err := compare(&out, g, "rwr", 3, approx); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != "accuracy vs exact: SMAPE=0.0000 Spearman=1.0000\n" {
+		t.Fatalf("identity summary scored %q", got)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -51,8 +52,17 @@ func main() {
 	if err != nil {
 		fatal("load graph: %v", err)
 	}
+	tgts := parseTargets(*targets)
 	if *lcc {
-		g, _ = pegasus.LargestComponent(g)
+		n := g.NumNodes()
+		var ids []pegasus.NodeID
+		g, ids = pegasus.LargestComponent(g)
+		if tgts, err = componentTargets(tgts, ids); err != nil {
+			fatal("%v", err)
+		}
+		if g.NumNodes() < n {
+			fmt.Printf("lcc: kept %d of %d nodes; summary node IDs number the kept nodes in input-ID order\n", g.NumNodes(), n)
+		}
 	}
 	fmt.Printf("input: |V|=%d |E|=%d size=%.0f bits\n", g.NumNodes(), g.NumEdges(), g.SizeBits())
 
@@ -64,7 +74,7 @@ func main() {
 		})
 	} else {
 		res, err = pegasus.SummarizeCtx(ctx, g, pegasus.Config{
-			Targets:     parseTargets(*targets),
+			Targets:     tgts,
 			Alpha:       *alpha,
 			Beta:        *beta,
 			MaxIter:     *tmax,
@@ -107,6 +117,22 @@ func parseTargets(s string) []pegasus.NodeID {
 		out = append(out, pegasus.NodeID(v))
 	}
 	return out
+}
+
+// componentTargets translates input node IDs to the IDs of the component
+// LargestComponent returned, whose ids[i] is the input ID of its node i (in
+// ascending order). A target outside the component is an error naming its
+// input ID.
+func componentTargets(targets, ids []pegasus.NodeID) ([]pegasus.NodeID, error) {
+	var out []pegasus.NodeID
+	for _, t := range targets {
+		i, ok := slices.BinarySearch(ids, t)
+		if !ok {
+			return nil, fmt.Errorf("target %d is not in the largest connected component (%d nodes); pass -lcc=false to keep every node", t, len(ids))
+		}
+		out = append(out, pegasus.NodeID(i))
+	}
+	return out, nil
 }
 
 func trace(enabled bool) func(pegasus.IterStats) {

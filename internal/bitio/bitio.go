@@ -1,9 +1,9 @@
-// Package bitio provides the variable-length integer and delta coding used
-// for compact on-disk graph and summary storage. The paper (§I, footnote 1)
-// notes a summary graph "can be further compressed using any
-// graph-compression technique"; sorted adjacency lists delta+varint encode
-// to a fraction of their fixed-width size, in the spirit of the WebGraph
-// framework [1].
+// Package bitio provides the variable-length integer and delta coding of
+// the on-disk summary artifacts (internal/persist). The paper (§I,
+// footnote 1) notes a summary graph "can be further compressed using any
+// graph-compression technique"; sorted member and superneighbor lists
+// delta+varint encode to a fraction of their fixed-width size, in the
+// spirit of the WebGraph framework [1].
 package bitio
 
 import (

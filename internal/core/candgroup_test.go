@@ -114,10 +114,7 @@ func TestConfigRejectsBadCandidateKnobs(t *testing.T) {
 // literally. Existing .pgsum artifacts are filed under these strings, so
 // any change to the format orphans every artifact on disk.
 func TestContentKeyPinned(t *testing.T) {
-	key, ok := Config{Seed: 7}.ContentKey()
-	if !ok {
-		t.Fatal("default config not keyable")
-	}
+	key := Config{Seed: 7}.ContentKey()
 	const pinned = "pegasus1|a3ff4000000000000|b3fb999999999999a|i20|s7|g500|d10|c0|e0|rfalse"
 	if key != pinned {
 		t.Fatalf("content key changed:\n got %s\nwant %s", key, pinned)

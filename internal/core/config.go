@@ -92,9 +92,9 @@ type Config struct {
 	CostMode CostMode
 	// Encoding: ErrorCorrection (default) or BestOfTwo (SSumM).
 	Encoding Encoding
-	// Threshold overrides the threshold policy. Nil selects
-	// AdaptiveThreshold{Beta} (PeGaSus); ssumm passes FixedSchedule.
-	Threshold ThresholdPolicy
+	// Threshold: AdaptiveThreshold (default, §III-E, driven by Beta) or
+	// FixedSchedule (SSumM, §III-G, ending at MaxIter).
+	Threshold Threshold
 	// RandomGroups replaces shingle-based candidate generation with uniform
 	// random grouping — the ablation for §III-C's claim that "uniform
 	// sampling is likely to result in pairs of supernodes whose merger does
@@ -173,9 +173,6 @@ func (c Config) withDefaults(g *graph.Graph) (Config, error) {
 			return c, fmt.Errorf("core: target %d out of range (|V|=%d)", t, g.NumNodes())
 		}
 	}
-	if c.Threshold == nil {
-		c.Threshold = AdaptiveThreshold{Beta: c.Beta}
-	}
 	return c, nil
 }
 
@@ -186,16 +183,10 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // budget — every field except Targets, BudgetBits and BudgetRatio (supplied
 // per shard by cluster builds) and Trace, which only observes the build.
 // Zero-valued fields are normalized to the paper defaults first, so a zero
-// config and an explicitly-spelled-default config share one key.
-//
-// The second return is false when the config carries a custom Threshold
-// policy: an arbitrary ThresholdPolicy has no canonical serialization, so
-// such configs cannot be fingerprinted (and incremental cluster rebuilds
-// fall back to building every shard).
-func (c Config) ContentKey() (string, bool) {
-	if c.Threshold != nil {
-		return "", false
-	}
+// config and an explicitly-spelled-default config share one key. The
+// threshold schedule is appended only when it is FixedSchedule, so every
+// adaptive-schedule key reads as it did before the schedule was a field.
+func (c Config) ContentKey() string {
 	// Mirror withDefaults' graph-independent normalization exactly: two
 	// configs that summarize identically must share a key.
 	alpha, beta := c.Alpha, c.Beta
@@ -218,7 +209,10 @@ func (c Config) ContentKey() (string, bool) {
 	key := fmt.Sprintf("pegasus1|a%x|b%x|i%d|s%d|g%d|d%d|c%d|e%d|r%t",
 		math.Float64bits(alpha), math.Float64bits(beta), maxIter, c.Seed,
 		maxGroup, maxSplit, c.CostMode, c.Encoding, c.RandomGroups)
-	return key, true
+	if c.Threshold == FixedSchedule {
+		key += "|tfixed"
+	}
+	return key
 }
 
 // Result is the output of Summarize.

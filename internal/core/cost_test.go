@@ -147,13 +147,13 @@ func checkMemoEveryRound(e *engine) error {
 			}
 		}
 	}
-	theta := e.cfg.Threshold.Initial()
+	theta := initialTheta
 	for it := 1; it <= 4 && e.sizeBits() > e.cfg.BudgetBits && err == nil; it++ {
 		var rejected []float64
 		for _, grp := range e.candidateGroups(context.Background(), it) {
 			e.mergeGroup(grp, theta, &rejected)
 		}
-		theta = e.cfg.Threshold.Next(it, rejected, theta)
+		theta = e.cfg.nextTheta(it, rejected, theta)
 	}
 	if err == nil && (masses == 0 || costs == 0) {
 		err = fmt.Errorf("%d rounds left no memo entry to check (%d masses, %d costs)", rounds, masses, costs)

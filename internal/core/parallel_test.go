@@ -91,7 +91,7 @@ func TestSequentialGoldens(t *testing.T) {
 	t.Run("ssumm300-preset", func(t *testing.T) {
 		g := gen.BarabasiAlbert(300, 4, 9)
 		res, err := Summarize(g, Config{BudgetRatio: 0.3, Seed: 11,
-			Encoding: BestOfTwo, Threshold: FixedSchedule{TMax: 20}, Alpha: 1})
+			Encoding: BestOfTwo, Threshold: FixedSchedule, Alpha: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 // preset (which supplies uniform weights).
 func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, cfg Config) (*Result, error) {
 	eng := newEngine(g, w, cfg)
-	theta := cfg.Threshold.Initial()
+	theta := initialTheta
 	iterations := 0
 	finalTheta := theta
 
@@ -90,7 +90,7 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 				NeighborVisits:    visits,
 			})
 		}
-		theta = cfg.Threshold.Next(t, rejected, theta)
+		theta = cfg.nextTheta(t, rejected, theta)
 		finalTheta = theta
 	}
 

@@ -30,10 +30,10 @@ func BenchmarkBuildSummaryCluster(b *testing.B) {
 	g, labels, m, budget := benchClusterInput(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sum := PegasusSummarizer(core.Config{Seed: 3})
+			cfg := core.Config{Seed: 3}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, sum, BuildOpts{Workers: workers}); err != nil {
+				if _, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, cfg, BuildOpts{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -92,9 +92,9 @@ type Cluster struct {
 	Assign []uint32
 	// Machines are the m workers.
 	Machines []*Machine
-	// Keys are the per-machine content keys (ShardKey) when the cluster was
-	// built with BuildOpts.ConfigKey set; nil otherwise. A later build may
-	// transplant any machine whose key it reproduces.
+	// Keys are the per-machine content keys (ShardKey) of a summary
+	// cluster; nil for a subgraph cluster. A later build may transplant any
+	// machine whose key it reproduces.
 	Keys []string
 }
 
@@ -162,43 +162,23 @@ func (c *Cluster) PHP(q graph.NodeID, cfg queries.PHPConfig) ([]float64, error) 
 	return m.PHP(q, cfg)
 }
 
-// Summarizer produces a summary of g personalized to the given target set
-// within budgetBits, honoring ctx for cancellation. The PeGaSus and SSumM
-// entry points both match.
-type Summarizer func(ctx context.Context, g *graph.Graph, targets []graph.NodeID, budgetBits float64) (*summary.Summary, error)
-
-// PegasusSummarizer adapts core.SummarizeCtx to the Summarizer shape with
-// the given base configuration (targets and budget are overridden per
-// machine).
-func PegasusSummarizer(base core.Config) Summarizer {
-	return func(ctx context.Context, g *graph.Graph, targets []graph.NodeID, budgetBits float64) (*summary.Summary, error) {
-		cfg := base
-		cfg.Targets = targets
-		cfg.BudgetBits = budgetBits
-		cfg.BudgetRatio = 0
-		res, err := core.SummarizeCtx(ctx, g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Summary, nil
-	}
-}
-
 // BuildSummaryCluster implements Alg. 3's preprocessing: for each part i of
 // the given partition (labels in [0,m)), build a summary personalized to
-// V_i within budgetBits and load it on machine i. The m builds run
-// concurrently with up to GOMAXPROCS in flight; BuildSummaryClusterCtx
-// exposes cancellation, the concurrency knob, workload-restricted targets
-// and incremental reuse.
-func BuildSummaryCluster(g *graph.Graph, labels []uint32, m int, budgetBits float64, summarize Summarizer) (*Cluster, error) {
+// V_i within budgetBits and load it on machine i. cfg carries the engine
+// settings (α, β, seed, schedule, ...); each shard's Targets and budget are
+// set per machine. The m builds run concurrently with up to GOMAXPROCS in
+// flight; BuildSummaryClusterCtx exposes cancellation, the concurrency
+// knob, workload-restricted targets and incremental reuse.
+func BuildSummaryCluster(g *graph.Graph, labels []uint32, m int, budgetBits float64, cfg core.Config) (*Cluster, error) {
 	//lint:ctxflow public convenience entry point for callers without a context; the Ctx variant is the propagating path
-	c, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budgetBits, summarize, BuildOpts{})
+	c, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budgetBits, cfg, BuildOpts{})
 	return c, err
 }
 
 // BuildOpts are the optional knobs of BuildSummaryClusterCtx. The zero
 // value reproduces the plain Alg. 3 build: GOMAXPROCS-bounded concurrent
-// shard builds, each shard personalized to its whole part, no reuse.
+// shard builds, each shard personalized to its whole part, with nothing to
+// reuse and no store.
 type BuildOpts struct {
 	// Workers bounds concurrent shard builds (0 = GOMAXPROCS,
 	// 1 = sequential). The resulting cluster is identical for every value.
@@ -211,14 +191,6 @@ type BuildOpts struct {
 	// confined to one part re-keys (and rebuilds) exactly that shard.
 	// Empty Targets personalizes every shard to its whole part.
 	Targets []graph.NodeID
-	// ConfigKey is the fingerprint of the summarizer's output-relevant
-	// configuration (core.Config.ContentKey for PegasusSummarizer). When
-	// non-empty, the build computes a ShardKey per machine, records them on
-	// Cluster.Keys, and may transplant machines from Prev. Callers using a
-	// custom Summarizer must guarantee the key covers every input that
-	// changes its output besides (graph, targets, budget); an empty key
-	// disables reuse entirely.
-	ConfigKey string
 	// GraphToken, when non-empty, skips recomputing GraphToken(g) — for
 	// callers that rebuild over one immutable graph and have the token
 	// cached. It MUST equal GraphToken(g), or the reuse-safety argument is
@@ -228,7 +200,7 @@ type BuildOpts struct {
 	// shard whose content key matches a key of Prev reuses that machine's
 	// summary verbatim instead of rebuilding. Equal keys imply bit-identical
 	// artifacts (summaries are immutable and a build is deterministic for
-	// a fixed seed), so reuse is undetectable except in build time. Requires ConfigKey; Prev clusters without Keys are ignored.
+	// a fixed seed), so reuse is undetectable except in build time.
 	Prev *Cluster
 	// Store is an on-disk artifact store consulted per shard after Prev:
 	// a shard whose content key is filed in the store decodes that artifact
@@ -236,10 +208,8 @@ type BuildOpts struct {
 	// imply bit-identical artifacts, so a disk hit honors the same
 	// bit-identity contract), and freshly built shards are written back
 	// best-effort under their keys, making the next cold start warm.
-	// Requires ConfigKey; corrupt or version-mismatched artifacts are
-	// treated as absent and the shard is rebuilt. Unkeyable builds (empty
-	// ConfigKey) never touch the store — their artifacts would be filed
-	// under no reachable name.
+	// Corrupt or version-mismatched artifacts are treated as absent and the
+	// shard is rebuilt.
 	Store *persist.Store
 }
 
@@ -247,13 +217,22 @@ type BuildOpts struct {
 // cancellation and the BuildOpts knobs: explicit build parallelism,
 // workload-restricted targets, and incremental reuse of a previous
 // cluster's machines (only shards whose content key differs from every key
-// of opts.Prev are rebuilt; the rest are transplanted). The shard builds
-// are independent — the §IV scheme is communication-free — so the
-// resulting cluster is identical for every worker count, and, by the
-// content-key argument above, for every Prev. The first build error
-// cancels the remaining builds and is returned; ctx cancellation does the
-// same with ctx.Err().
-func BuildSummaryClusterCtx(ctx context.Context, g *graph.Graph, labels []uint32, m int, budgetBits float64, summarize Summarizer, opts BuildOpts) (*Cluster, BuildStats, error) {
+// of opts.Prev are rebuilt; the rest are transplanted). Shard i's content
+// key is ShardKey(GraphToken(g), its resolved targets, budgetBits,
+// cfg.ContentKey()). The shard builds are independent — the §IV scheme is
+// communication-free — so the resulting cluster is identical for every
+// worker count and, by the content-key argument above, for every Prev. The
+// first build error cancels the remaining builds and is returned; ctx
+// cancellation does the same with ctx.Err().
+func BuildSummaryClusterCtx(ctx context.Context, g *graph.Graph, labels []uint32, m int, budgetBits float64, cfg core.Config, opts BuildOpts) (*Cluster, BuildStats, error) {
+	return buildSummaryCluster(ctx, g, labels, m, budgetBits, cfg, opts, core.SummarizeCtx)
+}
+
+// buildSummaryCluster is BuildSummaryClusterCtx with the engine call as a
+// parameter: summarize builds one shard from cfg with that shard's Targets
+// and BudgetBits filled in.
+func buildSummaryCluster(ctx context.Context, g *graph.Graph, labels []uint32, m int, budgetBits float64, cfg core.Config, opts BuildOpts,
+	summarize func(context.Context, *graph.Graph, core.Config) (*core.Result, error)) (*Cluster, BuildStats, error) {
 	stats := BuildStats{}
 	if len(labels) != g.NumNodes() {
 		return nil, stats, fmt.Errorf("distributed: labels length %d != |V| %d", len(labels), g.NumNodes())
@@ -273,48 +252,36 @@ func BuildSummaryClusterCtx(ctx context.Context, g *graph.Graph, labels []uint32
 		return nil, stats, err
 	}
 
-	c := &Cluster{Assign: labels, Machines: make([]*Machine, m)}
+	token := opts.GraphToken
+	if token == "" {
+		token = GraphToken(g)
+	}
+	cfgKey := cfg.ContentKey()
+	c := &Cluster{Assign: labels, Machines: make([]*Machine, m), Keys: make([]string, m)}
+	for i := range c.Keys {
+		c.Keys[i] = ShardKey(token, targets[i], budgetBits, cfgKey)
+	}
 	stats.ReusedShards = make([]bool, m)
 	stats.LoadedShards = make([]bool, m)
-	toBuild := make([]int, 0, m)
-	if opts.ConfigKey != "" {
-		token := opts.GraphToken
-		if token == "" {
-			token = GraphToken(g)
-		}
-		c.Keys = make([]string, m)
-		for i := range c.Keys {
-			c.Keys[i] = ShardKey(token, targets[i], budgetBits, opts.ConfigKey)
-		}
-		// Match by key, not by index: a relabeled or permuted partition can
-		// still reuse any previous machine that holds the exact artifact.
-		prevByKey := make(map[string]*Machine)
-		if opts.Prev != nil {
-			for j, k := range opts.Prev.Keys {
-				if j < len(opts.Prev.Machines) && opts.Prev.Machines[j] != nil && opts.Prev.Machines[j].Summary != nil {
-					prevByKey[k] = opts.Prev.Machines[j]
-				}
+	// Match by key, not by index: a relabeled or permuted partition can
+	// still reuse any previous machine that holds the exact artifact.
+	prevByKey := make(map[string]*Machine)
+	if opts.Prev != nil {
+		for j, k := range opts.Prev.Keys {
+			if j < len(opts.Prev.Machines) && opts.Prev.Machines[j] != nil && opts.Prev.Machines[j].Summary != nil {
+				prevByKey[k] = opts.Prev.Machines[j]
 			}
-		}
-		for i := 0; i < m; i++ {
-			if prev, ok := prevByKey[c.Keys[i]]; ok {
-				c.Machines[i] = prev // transplant: bit-identical by key equality
-				stats.ReusedShards[i] = true
-				stats.Reused++
-				continue
-			}
-			toBuild = append(toBuild, i)
-		}
-	} else {
-		for i := 0; i < m; i++ {
-			toBuild = append(toBuild, i)
 		}
 	}
-	// The store is only addressable through content keys; without them it
-	// would file artifacts under no reachable name, so it is ignored.
-	store := opts.Store
-	if opts.ConfigKey == "" {
-		store = nil
+	toBuild := make([]int, 0, m)
+	for i := 0; i < m; i++ {
+		if prev, ok := prevByKey[c.Keys[i]]; ok {
+			c.Machines[i] = prev // transplant: bit-identical by key equality
+			stats.ReusedShards[i] = true
+			stats.Reused++
+			continue
+		}
+		toBuild = append(toBuild, i)
 	}
 
 	buildCtx, cancel := context.WithCancel(ctx)
@@ -333,34 +300,39 @@ func BuildSummaryClusterCtx(ctx context.Context, g *graph.Graph, labels []uint32
 		shardCtx, sp := obs.StartSpan(buildCtx, "build.shard")
 		sp.AttrInt("shard", i)
 		defer sp.End()
-		if store != nil {
+		if opts.Store != nil {
 			// Disk twin of the Prev transplant: the key certifies the bytes,
 			// so a decoded artifact is bit-identical to what a rebuild would
 			// produce. Errors (corrupt, version-mismatched) demote to a
 			// rebuild; the node-count check guards against a foreign or
 			// hash-colliding file sneaking past the key.
 			_, gsp := obs.StartSpan(shardCtx, "store.get")
-			a, ok, _ := store.Get(c.Keys[i])
+			a, ok, _ := opts.Store.Get(c.Keys[i])
 			gsp.End()
-			if ok && a.Summary != nil && a.Summary.NumNodes() == g.NumNodes() {
+			if ok && a.Summary.NumNodes() == g.NumNodes() {
 				c.Machines[i] = &Machine{Summary: a.Summary}
 				stats.LoadedShards[i] = true
 				sp.Attr("source", "store")
 				return
 			}
 		}
-		s, err := summarize(shardCtx, g, targets[i], budgetBits)
+		shardCfg := cfg
+		shardCfg.Targets = targets[i]
+		shardCfg.BudgetBits = budgetBits
+		shardCfg.BudgetRatio = 0
+		res, err := summarize(shardCtx, g, shardCfg)
 		if err != nil {
 			errs[i] = err
 			cancel() // first error wins: stop the remaining builds
 			return
 		}
+		s := res.Summary
 		c.Machines[i] = &Machine{Summary: s}
 		sp.Attr("source", "summarize")
-		if store != nil {
+		if opts.Store != nil {
 			// Best-effort persistence: a failed write costs the next boot a
 			// rebuild, not this one; the store counts the error.
-			_ = store.Put(c.Keys[i], persist.Artifact{Summary: s})
+			_ = opts.Store.Put(c.Keys[i], persist.Artifact{Summary: s})
 		}
 	})
 	for _, loaded := range stats.LoadedShards {

@@ -23,7 +23,7 @@ func TestBuildSummaryCluster(t *testing.T) {
 	m := 4
 	labels := partition.Partition(g, m, partition.MethodLouvain, 2)
 	budget := 0.5 * g.SizeBits()
-	c, err := BuildSummaryCluster(g, labels, m, budget, PegasusSummarizer(core.Config{Seed: 3}))
+	c, err := BuildSummaryCluster(g, labels, m, budget, core.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRoutingFollowsPartition(t *testing.T) {
 	m := 4
 	labels := partition.RandomBalanced(g.NumNodes(), m, 5)
 	budget := 0.6 * g.SizeBits()
-	c, err := BuildSummaryCluster(g, labels, m, budget, PegasusSummarizer(core.Config{Seed: 1}))
+	c, err := BuildSummaryCluster(g, labels, m, budget, core.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestClusterQueriesRun(t *testing.T) {
 	m := 2
 	labels := partition.Partition(g, m, partition.MethodLouvain, 4)
 	budget := 0.5 * g.SizeBits()
-	c, err := BuildSummaryCluster(g, labels, m, budget, PegasusSummarizer(core.Config{Seed: 5}))
+	c, err := BuildSummaryCluster(g, labels, m, budget, core.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +160,12 @@ func TestBuildSubgraphCluster(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	g := clusterGraph(6)
-	if _, err := BuildSummaryCluster(g, []uint32{0}, 2, 100, PegasusSummarizer(core.Config{})); err == nil {
+	if _, err := BuildSummaryCluster(g, []uint32{0}, 2, 100, core.Config{}); err == nil {
 		t.Error("short labels accepted")
 	}
 	bad := make([]uint32, g.NumNodes())
 	bad[0] = 99
-	if _, err := BuildSummaryCluster(g, bad, 2, 100, PegasusSummarizer(core.Config{})); err == nil {
+	if _, err := BuildSummaryCluster(g, bad, 2, 100, core.Config{}); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 	if _, err := BuildSubgraphCluster(g, bad, 2, 100); err == nil {
@@ -181,7 +181,7 @@ func TestPersonalizationHelpsLocally(t *testing.T) {
 	m := 2
 	labels := partition.Partition(g, m, partition.MethodLouvain, 8)
 	budget := 0.35 * g.SizeBits()
-	c, err := BuildSummaryCluster(g, labels, m, budget, PegasusSummarizer(core.Config{Seed: 9, Alpha: 1.5}))
+	c, err := BuildSummaryCluster(g, labels, m, budget, core.Config{Seed: 9, Alpha: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

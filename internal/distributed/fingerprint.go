@@ -11,7 +11,7 @@ import (
 
 // Content keys make shard-summary reuse provably safe: a shard's key is a
 // fingerprint of every input that determines its build output — the graph,
-// the shard's resolved target set, its budget share, and the summarizer
+// the shard's resolved target set, its budget share, and the engine
 // configuration (core.Config.ContentKey). Two builds with equal keys
 // produce bit-identical artifacts (a build is deterministic for a fixed
 // seed, see DESIGN.md), so an incremental rebuild may transplant the
@@ -39,7 +39,8 @@ func GraphToken(g *graph.Graph) string {
 // ShardKey computes the content key of one shard-summary build: the graph
 // token, the shard's resolved target set (order-sensitive — permuted target
 // lists fingerprint differently rather than risk a false reuse), the budget
-// share in exact bit pattern, and the summarizer config key.
+// share in exact bit pattern, and the engine config key
+// (core.Config.ContentKey).
 func ShardKey(graphToken string, targets []graph.NodeID, budgetBits float64, cfgKey string) string {
 	h := sha256.New()
 	h.Write([]byte(graphToken))

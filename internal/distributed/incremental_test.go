@@ -12,19 +12,13 @@ import (
 	"pegasus/internal/summary"
 )
 
-// incrementalInput builds the shared fixture: a 4-part partition and a
-// fingerprintable summarizer config.
-func incrementalInput(t *testing.T, seed int64) (*graph.Graph, []uint32, int, float64, core.Config, string) {
-	t.Helper()
+// incrementalInput builds the shared fixture: a 4-part partition and an
+// engine config.
+func incrementalInput(seed int64) (*graph.Graph, []uint32, int, float64, core.Config) {
 	g := clusterGraph(seed)
 	m := 4
 	labels := partition.RandomBalanced(g.NumNodes(), m, 1)
-	base := core.Config{Seed: 3}
-	key, ok := base.ContentKey()
-	if !ok {
-		t.Fatal("default config not fingerprintable")
-	}
-	return g, labels, m, 0.5 * g.SizeBits(), base, key
+	return g, labels, m, 0.5 * g.SizeBits(), core.Config{Seed: 3}
 }
 
 // dropHalfOfPart returns a target list covering every node except every
@@ -59,12 +53,11 @@ func summaryBytes(t *testing.T, s *summary.Summary) []byte {
 // the other three (pointer-equal machines), and produce a cluster
 // byte-identical to a from-scratch build of the same configuration.
 func TestIncrementalRebuildReusesBitIdentical(t *testing.T) {
-	g, labels, m, budget, base, key := incrementalInput(t, 21)
-	sum := PegasusSummarizer(base)
+	g, labels, m, budget, base := incrementalInput(21)
 	ctx := context.Background()
 
-	prev, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, ConfigKey: key})
+	prev, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +69,8 @@ func TestIncrementalRebuildReusesBitIdentical(t *testing.T) {
 	}
 
 	targets := dropHalfOfPart(g, labels, 0)
-	incr, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, Targets: targets, ConfigKey: key, Prev: prev})
+	incr, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1, Targets: targets, Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +94,8 @@ func TestIncrementalRebuildReusesBitIdentical(t *testing.T) {
 
 	// The from-scratch build of the identical configuration must agree
 	// byte-for-byte on every shard — reuse is undetectable in the artifact.
-	scratch, st2, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, Targets: targets, ConfigKey: key})
+	scratch, st2, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1, Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +119,10 @@ func TestIncrementalRebuildReusesBitIdentical(t *testing.T) {
 // any other part — re-keys exactly that shard, because untouched parts
 // keep their whole-part personalization.
 func TestIncrementalRebuildMinimalTargets(t *testing.T) {
-	g, labels, m, budget, base, key := incrementalInput(t, 25)
-	sum := PegasusSummarizer(base)
+	g, labels, m, budget, base := incrementalInput(25)
 	ctx := context.Background()
-	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, ConfigKey: key})
+	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +133,8 @@ func TestIncrementalRebuildMinimalTargets(t *testing.T) {
 			targets = append(targets, graph.NodeID(u))
 		}
 	}
-	incr, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, Targets: targets, ConfigKey: key, Prev: prev})
+	incr, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1, Targets: targets, Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +152,15 @@ func TestIncrementalRebuildMinimalTargets(t *testing.T) {
 // TestIncrementalRebuildNoop: rebuilding with unchanged inputs transplants
 // every shard and builds nothing.
 func TestIncrementalRebuildNoop(t *testing.T) {
-	g, labels, m, budget, base, key := incrementalInput(t, 22)
-	sum := PegasusSummarizer(base)
+	g, labels, m, budget, base := incrementalInput(22)
 	ctx := context.Background()
-	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, ConfigKey: key})
+	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, ConfigKey: key, Prev: prev})
+	noop, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1, Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,45 +177,20 @@ func TestIncrementalRebuildNoop(t *testing.T) {
 // TestIncrementalRebuildBudgetChangeRebuildsAll: the budget share is part
 // of every shard's content key, so changing it invalidates all of them.
 func TestIncrementalRebuildBudgetChangeRebuildsAll(t *testing.T) {
-	g, labels, m, budget, base, key := incrementalInput(t, 23)
-	sum := PegasusSummarizer(base)
+	g, labels, m, budget, base := incrementalInput(23)
 	ctx := context.Background()
-	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, ConfigKey: key})
+	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, base,
+		BuildOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, 0.8*budget, sum,
-		BuildOpts{Workers: 1, ConfigKey: key, Prev: prev})
+	_, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, 0.8*budget, base,
+		BuildOpts{Workers: 1, Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Rebuilt != m || st.Reused != 0 {
 		t.Fatalf("budget change: rebuilt=%d reused=%d, want %d/0", st.Rebuilt, st.Reused, m)
-	}
-}
-
-// TestIncrementalRebuildWithoutConfigKey: no key, no reuse — and no keys
-// recorded on the result.
-func TestIncrementalRebuildWithoutConfigKey(t *testing.T) {
-	g, labels, m, budget, base, _ := incrementalInput(t, 24)
-	sum := PegasusSummarizer(base)
-	ctx := context.Background()
-	prev, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.Keys != nil {
-		t.Errorf("keyless build recorded keys: %v", prev.Keys)
-	}
-	_, st, err := BuildSummaryClusterCtx(ctx, g, labels, m, budget, sum,
-		BuildOpts{Workers: 1, Prev: prev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reused != 0 || st.Rebuilt != m {
-		t.Fatalf("keyless rebuild: rebuilt=%d reused=%d, want %d/0", st.Rebuilt, st.Reused, m)
 	}
 }
 
@@ -243,28 +209,21 @@ func TestGraphTokenDistinguishesGraphs(t *testing.T) {
 }
 
 // TestContentKeyNormalization: a zero config and the explicitly-spelled
-// paper defaults summarize identically, so they must share one key — and a
-// custom Threshold policy must refuse to fingerprint.
+// paper defaults summarize identically, so they must share one key — and
+// the SSumM schedule, which summarizes differently, must change it.
 func TestContentKeyNormalization(t *testing.T) {
-	zero, ok := core.Config{Seed: 7}.ContentKey()
-	if !ok {
-		t.Fatal("zero config not fingerprintable")
-	}
-	spelled, ok := core.Config{
+	zero := core.Config{Seed: 7}.ContentKey()
+	spelled := core.Config{
 		Seed: 7, Alpha: 1.25, Beta: 0.1, MaxIter: 20,
-		MaxGroupSize: 500, MaxSplitDepth: 10,
+		MaxGroupSize: 500, MaxSplitDepth: 10, Threshold: core.AdaptiveThreshold,
 	}.ContentKey()
-	if !ok {
-		t.Fatal("spelled-out config not fingerprintable")
-	}
 	if zero != spelled {
 		t.Errorf("zero and explicit-default configs differ:\n  %s\n  %s", zero, spelled)
 	}
-	changed, _ := core.Config{Seed: 7, Alpha: 1.5}.ContentKey()
-	if changed == zero {
+	if changed := (core.Config{Seed: 7, Alpha: 1.5}).ContentKey(); changed == zero {
 		t.Error("alpha change did not change the key")
 	}
-	if _, ok := (core.Config{Threshold: core.AdaptiveThreshold{Beta: 0.1}}).ContentKey(); ok {
-		t.Error("custom Threshold policy claimed to be fingerprintable")
+	if fixed := (core.Config{Seed: 7, Threshold: core.FixedSchedule}).ContentKey(); fixed == zero {
+		t.Error("Threshold: FixedSchedule did not change the key")
 	}
 }

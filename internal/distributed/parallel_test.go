@@ -48,14 +48,14 @@ func TestParallelClusterBuildMatchesSequential(t *testing.T) {
 	m := 4
 	labels := partition.Partition(g, m, partition.MethodLouvain, 2)
 	budget := 0.5 * g.SizeBits()
-	sum := PegasusSummarizer(core.Config{Seed: 3})
+	cfg := core.Config{Seed: 3}
 
-	seq, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, sum, BuildOpts{Workers: 1})
+	seq, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, cfg, BuildOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, sum, BuildOpts{Workers: workers})
+		par, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, budget, cfg, BuildOpts{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -103,8 +103,8 @@ func TestBuildSummaryClusterFirstError(t *testing.T) {
 	labels := partition.RandomBalanced(g.NumNodes(), m, 1)
 	boom := errors.New("boom")
 	var calls sync.Map
-	sum := func(ctx context.Context, gg *graph.Graph, targets []graph.NodeID, budget float64) (*summary.Summary, error) {
-		shard := int(labels[targets[0]])
+	sum := func(ctx context.Context, gg *graph.Graph, cfg core.Config) (*core.Result, error) {
+		shard := int(labels[cfg.Targets[0]])
 		calls.Store(shard, true)
 		if shard == 2 {
 			return nil, boom
@@ -117,7 +117,7 @@ func TestBuildSummaryClusterFirstError(t *testing.T) {
 			return nil, errors.New("cancellation never arrived")
 		}
 	}
-	_, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, m, 0.5*g.SizeBits(), sum, BuildOpts{Workers: m})
+	_, _, err := buildSummaryCluster(context.Background(), g, labels, m, 0.5*g.SizeBits(), core.Config{}, BuildOpts{Workers: m}, sum)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -133,7 +133,7 @@ func TestBuildSummaryClusterCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := BuildSummaryClusterCtx(ctx, g, labels, m, 0.5*g.SizeBits(),
-		PegasusSummarizer(core.Config{Seed: 1}), BuildOpts{Workers: m})
+		core.Config{Seed: 1}, BuildOpts{Workers: m})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -152,7 +152,7 @@ func TestConcurrentClusterBuildsRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, _, errs[i] = BuildSummaryClusterCtx(context.Background(), g, labels, m,
-				0.5*g.SizeBits(), PegasusSummarizer(core.Config{Seed: int64(i)}), BuildOpts{Workers: m})
+				0.5*g.SizeBits(), core.Config{Seed: int64(i)}, BuildOpts{Workers: m})
 		}(i)
 	}
 	wg.Wait()
@@ -167,7 +167,7 @@ func TestConcurrentClusterBuildsRace(t *testing.T) {
 func TestBuildSummaryClusterRejectsZeroMachines(t *testing.T) {
 	g := clusterGraph(15)
 	if _, err := BuildSummaryCluster(g, make([]uint32, g.NumNodes()), 0, 100,
-		PegasusSummarizer(core.Config{})); err == nil {
+		core.Config{}); err == nil {
 		t.Error("m=0 accepted")
 	}
 }

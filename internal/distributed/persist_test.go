@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"pegasus/internal/core"
@@ -14,8 +13,8 @@ import (
 )
 
 // persistTestSetup builds the shared fixtures of the store-integration
-// tests: a 4-part graph, a keyed summarizer config, and a fresh store.
-func persistTestSetup(t *testing.T) (*graph.Graph, []uint32, core.Config, string, *persist.Store) {
+// tests: a 4-part graph, an engine config, and a fresh store.
+func persistTestSetup(t *testing.T) (*graph.Graph, []uint32, core.Config, *persist.Store) {
 	t.Helper()
 	g := gen.PlantedPartition(gen.SBMConfig{Nodes: 160, Communities: 4, AvgDegree: 8, MixingP: 0.05}, 5)
 	labels := make([]uint32, g.NumNodes())
@@ -23,15 +22,11 @@ func persistTestSetup(t *testing.T) (*graph.Graph, []uint32, core.Config, string
 		labels[u] = uint32(u % 4)
 	}
 	cfg := core.Config{Seed: 9}
-	key, ok := cfg.ContentKey()
-	if !ok {
-		t.Fatal("config unexpectedly unkeyable")
-	}
 	st, err := persist.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, labels, cfg, key, st
+	return g, labels, cfg, st
 }
 
 func writeAll(t *testing.T, c *Cluster) [][]byte {
@@ -48,12 +43,11 @@ func writeAll(t *testing.T, c *Cluster) [][]byte {
 // (zero summarizations) and the loaded summaries are byte-identical to the
 // built ones.
 func TestClusterBuildPersistsAndWarmLoads(t *testing.T) {
-	g, labels, cfg, key, st := persistTestSetup(t)
+	g, labels, cfg, st := persistTestSetup(t)
 	budget := 0.5 * g.SizeBits()
-	sum := PegasusSummarizer(cfg)
 
-	cold, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st})
+	cold, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +67,8 @@ func TestClusterBuildPersistsAndWarmLoads(t *testing.T) {
 		}
 	}
 
-	warm, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st})
+	warm, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +91,17 @@ func TestClusterBuildPersistsAndWarmLoads(t *testing.T) {
 // TestPrevTransplantBeatsStore: a shard satisfiable from Prev must be
 // transplanted in memory, not re-decoded from disk — the store stays cold.
 func TestPrevTransplantBeatsStore(t *testing.T) {
-	g, labels, cfg, key, st := persistTestSetup(t)
+	g, labels, cfg, st := persistTestSetup(t)
 	budget := 0.5 * g.SizeBits()
-	sum := PegasusSummarizer(cfg)
 
-	prev, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st})
+	prev, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := st.Stats().Hits
-	next, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st, Prev: prev})
+	next, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st, Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +123,11 @@ func TestPrevTransplantBeatsStore(t *testing.T) {
 // to a rebuild, the result is bit-identical to a clean build, and the
 // rebuild's write-back heals the file.
 func TestCorruptArtifactFallsBackToRebuild(t *testing.T) {
-	g, labels, cfg, key, st := persistTestSetup(t)
+	g, labels, cfg, st := persistTestSetup(t)
 	budget := 0.5 * g.SizeBits()
-	sum := PegasusSummarizer(cfg)
 
-	cold, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st})
+	cold, _, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +156,8 @@ func TestCorruptArtifactFallsBackToRebuild(t *testing.T) {
 		}
 	}
 
-	warm, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st})
+	warm, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st})
 	if err != nil {
 		t.Fatalf("build over a corrupted store: %v", err)
 	}
@@ -179,8 +171,8 @@ func TestCorruptArtifactFallsBackToRebuild(t *testing.T) {
 		}
 	}
 	// The write-back healed every file: the next build is fully warm.
-	healed, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, sum,
-		BuildOpts{ConfigKey: key, Store: st})
+	healed, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget, cfg,
+		BuildOpts{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,43 +184,5 @@ func TestCorruptArtifactFallsBackToRebuild(t *testing.T) {
 		if !bytes.Equal(want[i], got[i]) {
 			t.Errorf("shard %d: healed artifact differs from clean build", i)
 		}
-	}
-}
-
-// TestUnkeyableBuildSkipsStore pins the satellite fix: a build whose config
-// cannot be fingerprinted (no ConfigKey — e.g. a custom Threshold policy)
-// must not write artifacts at all, because they would be filed under no
-// reachable name.
-func TestUnkeyableBuildSkipsStore(t *testing.T) {
-	g, labels, cfg, _, st := persistTestSetup(t)
-	budget := 0.5 * g.SizeBits()
-	// A custom threshold policy makes core.Config.ContentKey bail; callers
-	// then pass an empty ConfigKey, exactly as pegasus.BuildSummaryClusterIncremental does.
-	unkeyable := cfg
-	unkeyable.Threshold = core.FixedSchedule{}
-	if _, ok := unkeyable.ContentKey(); ok {
-		t.Fatal("config with custom Threshold should be unkeyable")
-	}
-	c, stats, err := BuildSummaryClusterCtx(context.Background(), g, labels, 4, budget,
-		PegasusSummarizer(unkeyable), BuildOpts{ConfigKey: "", Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Keys != nil {
-		t.Errorf("unkeyable build recorded keys %v", c.Keys)
-	}
-	if stats.Loaded != 0 || stats.Rebuilt != 4 {
-		t.Errorf("unkeyable build: loaded=%d rebuilt=%d, want 0/4", stats.Loaded, stats.Rebuilt)
-	}
-	entries, err := os.ReadDir(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("unkeyable build left file %s in the store", filepath.Join(st.Dir(), e.Name()))
-	}
-	s := st.Stats()
-	if s.Puts != 0 || s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("unkeyable build touched the store: %+v", s)
 	}
 }

@@ -32,7 +32,7 @@ func AblationThreshold(sc Scale) (*Table, error) {
 	return ablation(sc, "Ablation — adaptive thresholding (PeGaSus) vs fixed schedule (SSumM), ratio 0.5", "Threshold", 37,
 		func(cfg *core.Config, variant string) {
 			if variant == "fixed" {
-				cfg.Threshold = core.FixedSchedule{TMax: 20}
+				cfg.Threshold = core.FixedSchedule
 			}
 		}, "adaptive", "fixed")
 }

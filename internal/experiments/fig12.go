@@ -44,7 +44,7 @@ func Fig12(sc Scale) (*Table, error) {
 
 			// PeGaSus cluster: per-part personalized summaries.
 			pc, err := distributed.BuildSummaryCluster(g, louvain, m, budget,
-				distributed.PegasusSummarizer(core.Config{Seed: sc.Seed}))
+				core.Config{Seed: sc.Seed})
 			if err != nil {
 				return nil, err
 			}
@@ -172,7 +172,7 @@ func Fig12PHP(sc Scale) (*Table, error) {
 		for _, ratio := range sc.Ratios {
 			budget := ratio * g.SizeBits()
 			pc, err := distributed.BuildSummaryCluster(g, louvain, m, budget,
-				distributed.PegasusSummarizer(core.Config{Seed: sc.Seed}))
+				core.Config{Seed: sc.Seed})
 			if err != nil {
 				return nil, err
 			}

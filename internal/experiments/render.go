@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -32,114 +29,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Series is one named line of (x, y) points for chart rendering.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// SeriesFrom extracts line series from the table: rows are grouped by the
-// values of the groupBy columns (joined with "/"), with xCol and yCol parsed
-// as floats. Rows whose cells do not parse (e.g. "oot") are skipped.
-func (t *Table) SeriesFrom(groupBy []int, xCol, yCol int) []Series {
-	bykey := map[string]*Series{}
-	var order []string
-	for _, r := range t.Rows {
-		if xCol >= len(r) || yCol >= len(r) {
-			continue
-		}
-		x, errX := strconv.ParseFloat(r[xCol], 64)
-		y, errY := strconv.ParseFloat(r[yCol], 64)
-		if errX != nil || errY != nil {
-			continue
-		}
-		parts := make([]string, 0, len(groupBy))
-		for _, c := range groupBy {
-			if c < len(r) {
-				parts = append(parts, r[c])
-			}
-		}
-		key := strings.Join(parts, "/")
-		s, ok := bykey[key]
-		if !ok {
-			s = &Series{Name: key}
-			bykey[key] = s
-			order = append(order, key)
-		}
-		s.X = append(s.X, x)
-		s.Y = append(s.Y, y)
-	}
-	out := make([]Series, 0, len(order))
-	for _, k := range order {
-		out = append(out, *bykey[k])
-	}
-	return out
-}
-
-// RenderChart draws series as an ASCII scatter/line chart of the given
-// width×height (characters). Each series gets a distinct marker; a legend
-// follows. Used by EXPERIMENTS.md to show curve shapes without plotting
-// dependencies.
-func RenderChart(series []Series, width, height int) string {
-	if width < 16 {
-		width = 16
-	}
-	if height < 6 {
-		height = 6
-	}
-	markers := []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '$', '~'}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, s := range series {
-		for i := range s.X {
-			minX = math.Min(minX, s.X[i])
-			maxX = math.Max(maxX, s.X[i])
-			minY = math.Min(minY, s.Y[i])
-			maxY = math.Max(maxY, s.Y[i])
-		}
-	}
-	if math.IsInf(minX, 1) {
-		return "(no data)\n"
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	plot := func(x, y float64, m byte) {
-		cx := int((x - minX) / (maxX - minX) * float64(width-1))
-		cy := int((y - minY) / (maxY - minY) * float64(height-1))
-		row := height - 1 - cy
-		grid[row][cx] = m
-	}
-	for si, s := range series {
-		m := markers[si%len(markers)]
-		// Sort points by x for stable interpolation.
-		idx := make([]int, len(s.X))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-		for _, i := range idx {
-			plot(s.X[i], s.Y[i], m)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%8.3g ┐\n", maxY)
-	for _, row := range grid {
-		fmt.Fprintf(&b, "         │%s\n", string(row))
-	}
-	fmt.Fprintf(&b, "%8.3g └%s\n", minY, strings.Repeat("─", width))
-	fmt.Fprintf(&b, "          %-8.3g%*s\n", minX, width-8, fmt.Sprintf("%.3g", maxX))
-	for si, s := range series {
-		fmt.Fprintf(&b, "  %c %s\n", markers[si%len(markers)], s.Name)
-	}
-	return b.String()
 }

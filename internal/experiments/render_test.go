@@ -15,7 +15,7 @@ func sampleTable() *Table {
 	t.Append("LA", 0.5, "PeGaSus", 0.4)
 	t.Append("LA", 0.3, "SSumM", 0.6)
 	t.Append("LA", 0.5, "SSumM", 0.55)
-	t.Append("LA", 0.5, "k-GraSS", "oot") // unparsable row skipped by series
+	t.Append("LA", 0.5, "k-GraSS", "oot")
 	return t
 }
 
@@ -45,39 +45,5 @@ func TestWriteCSVQuoting(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"x,""y"""`) {
 		t.Fatalf("quoting wrong: %q", buf.String())
-	}
-}
-
-func TestSeriesFrom(t *testing.T) {
-	tab := sampleTable()
-	series := tab.SeriesFrom([]int{2}, 1, 3)
-	if len(series) != 2 {
-		t.Fatalf("series = %d, want 2 (oot row skipped)", len(series))
-	}
-	if series[0].Name != "PeGaSus" || len(series[0].X) != 2 {
-		t.Fatalf("unexpected first series %+v", series[0])
-	}
-	if series[1].Name != "SSumM" {
-		t.Fatalf("unexpected second series %+v", series[1])
-	}
-}
-
-func TestRenderChart(t *testing.T) {
-	tab := sampleTable()
-	series := tab.SeriesFrom([]int{2}, 1, 3)
-	out := RenderChart(series, 40, 10)
-	if !strings.Contains(out, "*") || !strings.Contains(out, "o") {
-		t.Fatalf("chart missing markers:\n%s", out)
-	}
-	if !strings.Contains(out, "PeGaSus") || !strings.Contains(out, "SSumM") {
-		t.Fatalf("chart missing legend:\n%s", out)
-	}
-	// Degenerate inputs do not panic.
-	if got := RenderChart(nil, 40, 10); !strings.Contains(got, "no data") {
-		t.Fatalf("empty chart = %q", got)
-	}
-	one := []Series{{Name: "p", X: []float64{1}, Y: []float64{2}}}
-	if got := RenderChart(one, 5, 3); got == "" {
-		t.Fatal("single-point chart empty")
 	}
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Stats summarizes structural properties of a graph; used by Table II and
 // by the dataset stand-in calibration.
@@ -96,45 +93,4 @@ func tail(ns []NodeID, v NodeID) []NodeID {
 		}
 	}
 	return ns[lo:]
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func DegreeHistogram(g *Graph) []int64 {
-	counts := make([]int64, g.MaxDegree()+1)
-	for u := 0; u < g.NumNodes(); u++ {
-		counts[g.Degree(NodeID(u))]++
-	}
-	return counts
-}
-
-// DegreeAssortativity returns the Pearson correlation of degrees across
-// edges (positive: hubs link to hubs; negative: hubs link to leaves, typical
-// of internet topologies).
-func DegreeAssortativity(g *Graph) float64 {
-	var n float64
-	var sx, sy, sxx, syy, sxy float64
-	g.Edges(func(u, v NodeID) bool {
-		// Count each edge in both orientations for symmetry.
-		du, dv := float64(g.Degree(u)), float64(g.Degree(v))
-		for _, p := range [2][2]float64{{du, dv}, {dv, du}} {
-			x, y := p[0], p[1]
-			n++
-			sx += x
-			sy += y
-			sxx += x * x
-			syy += y * y
-			sxy += x * y
-		}
-		return true
-	})
-	if n == 0 {
-		return 0
-	}
-	cov := sxy/n - (sx/n)*(sy/n)
-	vx := sxx/n - (sx/n)*(sx/n)
-	vy := syy/n - (sy/n)*(sy/n)
-	if vx <= 0 || vy <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
 }

@@ -59,37 +59,3 @@ func TestComputeStats(t *testing.T) {
 		t.Fatal("empty stats wrong")
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := testGraph(t)
-	h := DegreeHistogram(g)
-	// degrees: 2,2,3,1 -> h[1]=1, h[2]=2, h[3]=1.
-	if h[1] != 1 || h[2] != 2 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
-func TestDegreeAssortativity(t *testing.T) {
-	// A star is maximally disassortative (hub-leaf only): r = -1 is not
-	// reachable with a single degree pair (variance zero on one side), but a
-	// double star is clearly negative.
-	b := NewBuilder(8)
-	b.AddEdge(0, 1)
-	for i := 2; i < 5; i++ {
-		b.AddEdge(0, NodeID(i))
-	}
-	for i := 5; i < 8; i++ {
-		b.AddEdge(1, NodeID(i))
-	}
-	if r := DegreeAssortativity(b.Build()); r >= 0 {
-		t.Fatalf("double star assortativity = %v, want negative", r)
-	}
-	// A cycle is degree-regular: correlation undefined -> 0.
-	cb := NewBuilder(5)
-	for i := 0; i < 5; i++ {
-		cb.AddEdge(NodeID(i), NodeID((i+1)%5))
-	}
-	if r := DegreeAssortativity(cb.Build()); r != 0 {
-		t.Fatalf("cycle assortativity = %v, want 0", r)
-	}
-}

@@ -169,9 +169,6 @@ func (s SpanHandle) Attr(key, val string) {
 // AttrInt attaches an integer attribute.
 func (s SpanHandle) AttrInt(key string, v int) { s.Attr(key, itoa(v)) }
 
-// AttrFloat attaches a float attribute (shortest round-trip formatting).
-func (s SpanHandle) AttrFloat(key string, v float64) { s.Attr(key, formatFloat(v)) }
-
 // SpanView is one span as exposed in a ?debug=1 timeline.
 type SpanView struct {
 	Name string `json:"name"`

@@ -71,7 +71,6 @@ func TestStartSpanNoTraceIsNoop(t *testing.T) {
 	// All handle methods must be safe on the zero value.
 	sp.Attr("k", "v")
 	sp.AttrInt("i", 1)
-	sp.AttrFloat("f", 2.5)
 	sp.End()
 	sp.End()
 
@@ -194,10 +193,9 @@ func TestAttrs(t *testing.T) {
 	_, sp := StartSpan(ctx, "a")
 	sp.Attr("k", "v")
 	sp.AttrInt("n", 42)
-	sp.AttrFloat("f", 0.5)
 	sp.End()
 	attrs := tr.View().Spans[0].Attrs
-	want := []Attr{{Key: "k", Val: "v"}, {Key: "n", Val: "42"}, {Key: "f", Val: "0.5"}}
+	want := []Attr{{Key: "k", Val: "v"}, {Key: "n", Val: "42"}}
 	if len(attrs) != len(want) {
 		t.Fatalf("got %d attrs, want %d", len(attrs), len(want))
 	}

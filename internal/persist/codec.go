@@ -1,7 +1,6 @@
 // Package persist makes shard artifacts durable: a versioned, checksummed
-// binary codec for the two artifact kinds a distributed.Machine can hold —
-// a personalized summary.Summary or a local subgraph — plus a
-// content-addressed Store that files each encoded artifact under its shard
+// binary codec for the personalized summary.Summary a distributed.Machine
+// holds, plus a content-addressed Store that files each encoded artifact under its shard
 // content key (distributed.ShardKey). Together they turn the paper's §IV
 // deployment, which holds one personalized summary per machine, into a
 // restartable one: a rebooted server decodes its cluster from disk instead
@@ -17,7 +16,7 @@
 //
 //	offset 0  magic "PGAR" (4 bytes)
 //	offset 4  version (1 byte)
-//	offset 5  kind (1 byte: 1 = summary, 2 = subgraph)
+//	offset 5  kind (1 byte: 1 = summary; any other value is corrupt)
 //	offset 6  payload (bitio varints + delta-coded sorted lists)
 //	trailer   CRC-32 (IEEE, little-endian) over everything before it
 //
@@ -37,7 +36,6 @@ import (
 	"io"
 
 	"pegasus/internal/bitio"
-	"pegasus/internal/graph"
 	"pegasus/internal/summary"
 )
 
@@ -57,20 +55,17 @@ var artifactMagic = [4]byte{'P', 'G', 'A', 'R'}
 const (
 	codecVersion = 1
 
-	kindSummary  = 1
-	kindSubgraph = 2
+	kindSummary = 1
 
 	// trailerLen is the CRC-32 trailer size; headerLen the fixed prefix.
 	trailerLen = 4
 	headerLen  = 6
 )
 
-// Artifact is one machine's persistable payload: exactly one of Summary and
-// Subgraph is non-nil (mirroring distributed.Machine, which persist cannot
-// import without a cycle — distributed consumes this package).
+// Artifact is one machine's persistable payload: the personalized summary
+// it serves. Summary is non-nil in every artifact Decode returns.
 type Artifact struct {
-	Summary  *summary.Summary
-	Subgraph *graph.Graph
+	Summary *summary.Summary
 }
 
 // Encode writes the artifact to w in the versioned, checksummed format.
@@ -88,20 +83,13 @@ func EncodeBytes(a Artifact) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write(artifactMagic[:])
 	buf.WriteByte(codecVersion)
-	switch {
-	case a.Summary != nil && a.Subgraph == nil:
-		buf.WriteByte(kindSummary)
-		if err := encodeSummary(&buf, a.Summary); err != nil {
-			return nil, err
-		}
-	case a.Subgraph != nil && a.Summary == nil:
-		buf.WriteByte(kindSubgraph)
-		if err := encodeSubgraph(&buf, a.Subgraph); err != nil {
-			return nil, err
-		}
-	default:
+	if a.Summary == nil {
 		//lint:typederr encode-side usage error (malformed Artifact value), not an input-bytes failure
-		return nil, fmt.Errorf("persist: artifact must hold exactly one of summary and subgraph")
+		return nil, fmt.Errorf("persist: artifact holds no summary")
+	}
+	buf.WriteByte(kindSummary)
+	if err := encodeSummary(&buf, a.Summary); err != nil {
+		return nil, err
 	}
 	var crc [trailerLen]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
@@ -131,17 +119,11 @@ func Decode(data []byte) (Artifact, error) {
 		return Artifact{}, fmt.Errorf("persist: artifact version %d (this build reads %d): %w", v, codecVersion, ErrVersion)
 	}
 	kind, payload := body[5], body[6:]
-	r := bitio.NewReader(bytes.NewReader(payload))
-	var a Artifact
-	var err error
-	switch kind {
-	case kindSummary:
-		a.Summary, err = decodeSummary(r, len(payload))
-	case kindSubgraph:
-		a.Subgraph, err = decodeSubgraph(r, len(payload))
-	default:
+	if kind != kindSummary {
 		return Artifact{}, fmt.Errorf("persist: unknown artifact kind %d: %w", kind, ErrCorrupt)
 	}
+	r := bitio.NewReader(bytes.NewReader(payload))
+	s, err := decodeSummary(r, len(payload))
 	if err != nil {
 		return Artifact{}, err
 	}
@@ -151,7 +133,7 @@ func Decode(data []byte) (Artifact, error) {
 	if !r.Exhausted() {
 		return Artifact{}, fmt.Errorf("persist: trailing bytes after payload: %w", ErrCorrupt)
 	}
-	return a, nil
+	return Artifact{Summary: s}, nil
 }
 
 const (
@@ -309,60 +291,6 @@ func decodeSummary(r *bitio.Reader, payloadLen int) (*summary.Summary, error) {
 		return nil, corrupt("flags", errors.New("weighted flag set but every weight is 1"))
 	}
 	return summary.New(superOf, upper, weights), nil
-}
-
-// encodeSubgraph writes the subgraph payload: |V| then each node's sorted
-// adjacency restricted to the upper triangle (v > u), delta+varint coded.
-//
-//pegasus:hotpath codec inner loops: one iteration per node on every artifact write
-func encodeSubgraph(w io.Writer, g *graph.Graph) error {
-	bw := bitio.NewWriter(w)
-	n := g.NumNodes()
-	bw.PutUvarint(uint64(n))
-	var upper []uint32
-	for u := 0; u < n; u++ {
-		upper = upper[:0]
-		for _, v := range g.Neighbors(uint32(u)) {
-			if v > uint32(u) {
-				upper = append(upper, v)
-			}
-		}
-		bw.PutDeltas(upper)
-	}
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// decodeSubgraph parses a subgraph payload back into a CSR graph spanning
-// the full recorded node-ID space (isolated trailing nodes included — the
-// §IV subgraph artifact spans all of V).
-func decodeSubgraph(r *bitio.Reader, payloadLen int) (*graph.Graph, error) {
-	n64 := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, corrupt("subgraph header", err)
-	}
-	// Each node's (possibly empty) adjacency list costs at least its 1-byte
-	// length varint.
-	if n64 > uint64(payloadLen) {
-		return nil, corrupt("node count", fmt.Errorf("|V|=%d exceeds %d payload bytes", n64, payloadLen))
-	}
-	n := int(n64)
-	var edges []graph.Edge
-	for u := 0; u < n; u++ {
-		vs := r.Deltas(n)
-		if err := r.Err(); err != nil {
-			return nil, corrupt(fmt.Sprintf("adjacency of node %d", u), err)
-		}
-		for _, v := range vs {
-			if v <= uint32(u) || int(v) >= n {
-				return nil, corrupt("edge", fmt.Errorf("{%d,%d} outside the upper triangle of |V|=%d", u, v, n))
-			}
-			edges = append(edges, graph.Edge{U: uint32(u), V: v})
-		}
-	}
-	return graph.FromEdges(n, edges), nil
 }
 
 // corrupt wraps a parse failure as ErrCorrupt with location detail.

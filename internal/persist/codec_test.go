@@ -117,27 +117,6 @@ func caseSummaries(t testing.TB) map[string]*summary.Summary {
 	return cases
 }
 
-// caseSubgraphs enumerates subgraph-machine artifacts: empty, edgeless,
-// isolated trailing nodes, randomized.
-func caseSubgraphs(t testing.TB) map[string]*graph.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	cases := map[string]*graph.Graph{
-		"empty":          graph.FromEdges(0, nil),
-		"edgeless":       graph.FromEdges(12, nil),
-		"trailing-holes": graph.FromEdges(10, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}),
-	}
-	for i := 0; i < 6; i++ {
-		n := 15 + i*9
-		gb := graph.NewBuilder(n)
-		for e := 0; e < n*2; e++ {
-			gb.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-		}
-		cases[fmt.Sprintf("random-%d", i)] = gb.Build()
-	}
-	return cases
-}
-
 // TestSummaryRoundTrip pins the codec's central property on summaries:
 // Encode(Decode(x)) == x byte-for-byte, the decoded summary is structurally
 // valid, and it answers every accessor exactly as the original does.
@@ -154,8 +133,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if a.Summary == nil || a.Subgraph != nil {
-				t.Fatalf("decoded artifact kind mismatch: %+v", a)
+			if a.Summary == nil {
+				t.Fatalf("decoded artifact holds no summary: %+v", a)
 			}
 			if err := a.Summary.Validate(); err != nil {
 				t.Fatalf("decoded summary invalid: %v", err)
@@ -189,48 +168,10 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubgraphRoundTrip is the same property for subgraph-machine artifacts.
-func TestSubgraphRoundTrip(t *testing.T) {
-	cases := caseSubgraphs(t)
-	for _, name := range slices.Sorted(maps.Keys(cases)) {
-		g := cases[name]
-		t.Run(name, func(t *testing.T) {
-			enc, err := EncodeBytes(Artifact{Subgraph: g})
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			a, err := Decode(enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if a.Subgraph == nil || a.Summary != nil {
-				t.Fatalf("decoded artifact kind mismatch: %+v", a)
-			}
-			if a.Subgraph.NumNodes() != g.NumNodes() || a.Subgraph.NumEdges() != g.NumEdges() {
-				t.Fatalf("decoded |V|=%d |E|=%d, want |V|=%d |E|=%d",
-					a.Subgraph.NumNodes(), a.Subgraph.NumEdges(), g.NumNodes(), g.NumEdges())
-			}
-			re, err := EncodeBytes(a)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			if !bytes.Equal(enc, re) {
-				t.Fatal("Encode(Decode(x)) != x for subgraph artifact")
-			}
-		})
-	}
-}
-
-// TestEncodeRejectsAmbiguousArtifact: an artifact must hold exactly one
-// payload kind.
+// TestEncodeRejectsAmbiguousArtifact: an artifact must hold a summary.
 func TestEncodeRejectsAmbiguousArtifact(t *testing.T) {
 	if _, err := EncodeBytes(Artifact{}); err == nil {
 		t.Error("encoding an empty artifact succeeded")
-	}
-	s := summary.New(make([]uint32, 3), make([][]uint32, 1), nil)
-	g := graph.FromEdges(3, nil)
-	if _, err := EncodeBytes(Artifact{Summary: s, Subgraph: g}); err == nil {
-		t.Error("encoding a two-kind artifact succeeded")
 	}
 }
 
@@ -324,12 +265,15 @@ func TestDecodeFutureVersion(t *testing.T) {
 	}
 }
 
-// TestDecodeUnknownKind: an unknown artifact kind is ErrCorrupt.
+// TestDecodeUnknownKind: an unknown artifact kind is ErrCorrupt, and so is
+// kind 2, which once held subgraph artifacts.
 func TestDecodeUnknownKind(t *testing.T) {
 	enc := referenceEncoding(t)
-	mut := append([]byte(nil), enc...)
-	mut[5] = 9
-	mustCorrupt(t, fixCRC(mut), "unknown kind with fixed CRC")
+	for _, kind := range []byte{2, 9} {
+		mut := append([]byte(nil), enc...)
+		mut[5] = kind
+		mustCorrupt(t, fixCRC(mut), fmt.Sprintf("kind %d with fixed CRC", kind))
+	}
 }
 
 // TestDecodeTrailingGarbage: extra bytes between payload and trailer are
@@ -346,12 +290,10 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 // before any proportional allocation happens (each node costs at least one
 // payload byte, so the count can never exceed the payload length).
 func TestDecodeHugeCounts(t *testing.T) {
-	for _, kind := range []byte{kindSummary, kindSubgraph} {
-		data := []byte{'P', 'G', 'A', 'R', codecVersion, kind,
-			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, // huge varint |V|
-			0, 0, 0, 0, 0, 0} // filler + CRC space
-		mustCorrupt(t, fixCRC(data), fmt.Sprintf("huge node count, kind %d", kind))
-	}
+	data := []byte{'P', 'G', 'A', 'R', codecVersion, kindSummary,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, // huge varint |V|
+		0, 0, 0, 0, 0, 0} // filler + CRC space
+	mustCorrupt(t, fixCRC(data), "huge node count")
 }
 
 // summaryArtifact assembles a summary artifact from raw payload fields —

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"pegasus/internal/graph"
 	"pegasus/internal/summary"
 )
 
@@ -46,16 +45,6 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	}
 	if stats.BytesWritten == 0 || stats.BytesRead != stats.BytesWritten {
 		t.Errorf("bytes written %d / read %d, want equal and non-zero", stats.BytesWritten, stats.BytesRead)
-	}
-	// Subgraph artifacts file and load the same way.
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	key2 := "ffff0000" + keyA[8:]
-	if err := st.Put(key2, Artifact{Subgraph: g}); err != nil {
-		t.Fatalf("put subgraph: %v", err)
-	}
-	a, ok, err = st.Get(key2)
-	if err != nil || !ok || a.Subgraph == nil || a.Subgraph.NumEdges() != 2 {
-		t.Fatalf("get subgraph: a=%+v ok=%v err=%v", a, ok, err)
 	}
 }
 

@@ -39,7 +39,7 @@ func BenchmarkSummarySession(b *testing.B) {
 		targets = append(targets, graph.NodeID(u))
 	}
 	c, _, err := distributed.BuildSummaryClusterCtx(context.Background(), g, labels, 2, 0.5*g.SizeBits(),
-		distributed.PegasusSummarizer(core.Config{Seed: seed}), distributed.BuildOpts{Targets: targets})
+		core.Config{Seed: seed}, distributed.BuildOpts{Targets: targets})
 	if err != nil {
 		b.Fatal(err)
 	}

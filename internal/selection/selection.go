@@ -23,19 +23,6 @@ func KthLargest(xs []float64, k int) float64 {
 	return selectKth(buf, len(buf)-k)
 }
 
-// KthSmallest returns the k-th smallest element (1-based).
-func KthSmallest(xs []float64, k int) float64 {
-	if len(xs) == 0 {
-		panic("selection: empty input")
-	}
-	if k < 1 || k > len(xs) {
-		panic("selection: k out of range")
-	}
-	buf := make([]float64, len(xs))
-	copy(buf, xs)
-	return selectKth(buf, k-1)
-}
-
 // selectKth returns the element that would be at index k if buf were sorted
 // ascending. It mutates buf.
 func selectKth(buf []float64, k int) float64 {

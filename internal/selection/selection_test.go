@@ -22,16 +22,6 @@ func TestKthLargestSmall(t *testing.T) {
 	}
 }
 
-func TestKthSmallestSmall(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := KthSmallest(xs, 1); got != 1 {
-		t.Errorf("KthSmallest(1) = %v, want 1", got)
-	}
-	if got := KthSmallest(xs, 5); got != 5 {
-		t.Errorf("KthSmallest(5) = %v, want 5", got)
-	}
-}
-
 func TestInputNotMutated(t *testing.T) {
 	xs := []float64{5, 4, 3, 2, 1, 0, -1, 7, 8, 9, 2, 2}
 	cp := append([]float64(nil), xs...)
@@ -48,8 +38,6 @@ func TestPanics(t *testing.T) {
 		func() { KthLargest(nil, 1) },
 		func() { KthLargest([]float64{1}, 0) },
 		func() { KthLargest([]float64{1}, 2) },
-		func() { KthSmallest(nil, 1) },
-		func() { KthSmallest([]float64{1, 2}, 3) },
 	} {
 		func() {
 			defer func() {
@@ -76,9 +64,6 @@ func TestPropertyMatchesSort(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			k := 1 + rng.Intn(n)
 			if KthLargest(xs, k) != sorted[n-k] {
-				return false
-			}
-			if KthSmallest(xs, k) != sorted[k-1] {
 				return false
 			}
 		}

@@ -111,7 +111,6 @@ func pageRankChecked(o queries.Oracle, cfg queries.PageRankConfig) ([]float64, e
 // distributed.GraphToken of g.
 func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken string, prev *backendBox, store *persist.Store) (*backend, distributed.BuildStats, error) {
 	budgetBits := cfg.BudgetRatio * g.SizeBits()
-	base := core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed}
 	// The partition depends only on (graph, Shards, PartitionMethod, Seed),
 	// none of which /v1/summarize can change, so a rebuild takes the labels
 	// — and with them the node→shard routing — from the previous backend
@@ -129,12 +128,10 @@ func buildBackend(ctx context.Context, g *graph.Graph, cfg Config, graphToken st
 	default:
 		labels = make([]uint32, g.NumNodes()) // one part, V: no partitioner to run
 	}
-	cfgKey, _ := base.ContentKey() // server configs never set Threshold, but stay safe
 	c, stats, err := distributed.BuildSummaryClusterCtx(ctx, g, labels, cfg.Shards, budgetBits,
-		distributed.PegasusSummarizer(base), distributed.BuildOpts{
+		core.Config{Alpha: cfg.Alpha, Seed: cfg.Seed}, distributed.BuildOpts{
 			Workers:    cfg.BuildWorkers,
 			Targets:    cfg.Targets,
-			ConfigKey:  cfgKey,
 			GraphToken: graphToken,
 			Prev:       prevCluster,
 			Store:      store,

@@ -253,10 +253,8 @@ type SummarizeResponse struct {
 	// obtained at decode cost.
 	Loaded int `json:"loaded"`
 	// Keyable reports whether shard content keys could be computed for this
-	// build. When false (a summarizer configuration with no canonical
-	// fingerprint, e.g. a custom threshold policy), every rebuild is a full
-	// rebuild and nothing is persisted — reuse is silently off, and this
-	// field is how the silence is surfaced.
+	// build. Every engine configuration has a content key, so it is always
+	// true; the field stays so that the response keeps its shape.
 	Keyable bool `json:"keyable"`
 	// Trace is the span timeline of this rebuild (per-shard build phases),
 	// present only when the client asked for it with ?debug=1.
@@ -749,7 +747,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		Rebuilt: stats.Rebuilt,
 		Reused:  stats.Reused,
 		Loaded:  stats.Loaded,
-		Keyable: len(box.be.c.Keys) > 0,
+		Keyable: true,
 		Trace:   debugTrace(r),
 	})
 }

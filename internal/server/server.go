@@ -140,17 +140,13 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Server, error) {
 // gcStore trims the artifact store to the given live key set after a
 // successful build: content addressing makes anything outside the serving
 // keys unreachable (re-deriving a key re-derives its bytes), so removal
-// only reclaims disk. Skipped when any key is missing — an unkeyable build
-// cannot name what it is using.
+// only reclaims disk.
 func (s *Server) gcStore(keys []string) {
-	if s.store == nil || len(keys) == 0 {
+	if s.store == nil {
 		return
 	}
 	live := make(map[string]bool, len(keys))
 	for _, k := range keys {
-		if k == "" {
-			return
-		}
 		live[k] = true
 	}
 	_, _ = s.store.GC(func(k string) bool { return live[k] })
@@ -202,8 +198,7 @@ func (s *Server) rebuild(ctx context.Context, apply func(Config) Config) (*backe
 	for i := range shardGens {
 		shardGens[i] = gen
 		if i < len(stats.ReusedShards) && stats.ReusedShards[i] &&
-			i < len(keys) && i < len(oldKeys) && i < len(old.shardGens) &&
-			keys[i] != "" && keys[i] == oldKeys[i] {
+			i < len(oldKeys) && i < len(old.shardGens) && keys[i] == oldKeys[i] {
 			shardGens[i] = old.shardGens[i]
 		}
 	}

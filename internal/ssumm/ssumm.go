@@ -39,17 +39,13 @@ func Summarize(g *graph.Graph, cfg Config) (*core.Result, error) {
 
 // SummarizeCtx is Summarize with cooperative cancellation.
 func SummarizeCtx(ctx context.Context, g *graph.Graph, cfg Config) (*core.Result, error) {
-	maxIter := cfg.MaxIter
-	if maxIter == 0 {
-		maxIter = 20
-	}
 	return core.SummarizeNonPersonalizedCtx(ctx, g, core.Config{
 		BudgetBits:  cfg.BudgetBits,
 		BudgetRatio: cfg.BudgetRatio,
-		MaxIter:     maxIter,
+		MaxIter:     cfg.MaxIter,
 		Seed:        cfg.Seed,
 		Encoding:    core.BestOfTwo,
-		Threshold:   core.FixedSchedule{TMax: maxIter},
+		Threshold:   core.FixedSchedule,
 		Trace:       cfg.Trace,
 	})
 }

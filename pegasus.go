@@ -3,7 +3,6 @@ package pegasus
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 
 	"pegasus/internal/core"
@@ -58,13 +57,6 @@ func LoadGraph(path string) (*Graph, error) { return graph.LoadEdgeListFile(path
 // SaveGraph writes a graph as an edge list.
 func SaveGraph(path string, g *Graph) error { return graph.SaveEdgeListFile(path, g) }
 
-// WriteGraphCompressed serializes a graph with delta+varint coded adjacency
-// (typically 3-6x smaller than the in-memory CSR arrays).
-func WriteGraphCompressed(w io.Writer, g *Graph) error { return graph.WriteCompressed(w, g) }
-
-// ReadGraphCompressed deserializes a graph written by WriteGraphCompressed.
-func ReadGraphCompressed(r io.Reader) (*Graph, error) { return graph.ReadCompressed(r) }
-
 // GraphStats summarizes structural properties of a graph.
 type GraphStats = graph.Stats
 
@@ -107,7 +99,7 @@ func SummarizeSSumMCtx(ctx context.Context, g *Graph, cfg SSumMConfig) (*Result,
 // EncodeArtifact, the format pegasus -out writes. A damaged file, or one in
 // the earlier "PGSS" summary format, yields an error wrapping
 // ErrArtifactCorrupt (regenerate it with pegasus -out); a file from a newer
-// codec one wrapping ErrArtifactVersion. A subgraph artifact is an error too.
+// codec one wrapping ErrArtifactVersion.
 func LoadSummary(path string) (*Summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -116,9 +108,6 @@ func LoadSummary(path string) (*Summary, error) {
 	a, err := persist.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if a.Summary == nil {
-		return nil, fmt.Errorf("%s: a subgraph artifact, not a summary", path)
 	}
 	return a.Summary, nil
 }

@@ -16,8 +16,8 @@ import (
 // summarization, with the same bit-identity guarantee as in-memory reuse.
 
 type (
-	// Artifact is one machine's persistable payload: exactly one of Summary
-	// and Subgraph is non-nil.
+	// Artifact is one machine's persistable payload: the personalized
+	// summary it serves.
 	Artifact = persist.Artifact
 	// ArtifactStore is a content-addressed artifact store over one
 	// directory: Put/Get/GC over <dir>/<shardkey>.pgsum files, written with
